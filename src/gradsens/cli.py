@@ -26,8 +26,6 @@ from .responses import MODEL_BUILDERS, build_model
 from .sensest import KernelSpec, normalize_curve, sensitivity_subsim
 from .subsim import SsConfig, run_subset_simulation
 
-_FMT = "{:.17g}"
-
 
 def _unit_inv(unit: str) -> str:
     return "-" if unit == "-" else f"1/{unit}"
@@ -40,11 +38,11 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_csv(path: Path, header, columns):
-    rows = [",".join(header)]
+    """Header line, then one row per sample with every value as '%.17g'."""
     data = np.column_stack(columns)
-    for row in data:
-        rows.append(",".join(_FMT.format(v) for v in row))
-    _write_atomic(path, "\n".join(rows) + "\n")
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    body = row * data.shape[0] % tuple(data.ravel().tolist())
+    _write_atomic(path, ",".join(header) + "\n" + body)
 
 
 def read_csv(path) -> dict:
@@ -139,6 +137,18 @@ def _collapse(result: RunResult) -> RunCurves:
                      scaled=c.scaled[idx], fractional=c.fractional[idx])
 
 
+def _nanstd_runs(vals):
+    """Sample std (ddof=1) over runs (axis 0), ignoring NaN.
+
+    A grid point with fewer than 2 finite values has no sample std: it is NaN,
+    set here instead of leaving numpy to warn about the degrees of freedom.
+    """
+    ok = np.count_nonzero(np.isfinite(vals), axis=0) >= 2
+    std = np.full(vals.shape[1:], np.nan)
+    std[ok] = np.nanstd(vals[:, ok], axis=0, ddof=1)
+    return std
+
+
 def _interp_guarded(x, xp, fp):
     out = np.interp(x, xp, fp)
     return np.where((x >= xp[0]) & (x <= xp[-1]), out, np.nan)
@@ -173,7 +183,7 @@ class RepeatResult:
 
     def mean_measure(self, param, y, which="fractional"):
         vals = self.measure_runs(param, y, which)
-        return np.nanmean(vals, axis=0), np.nanstd(vals, axis=0, ddof=1)
+        return np.nanmean(vals, axis=0), _nanstd_runs(vals)
 
     def y_at_mean_ccdf(self, f_target: float) -> float:
         """Threshold where the mean CCDF curve crosses f_target (log interp)."""
@@ -262,7 +272,7 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
     g = agg.grid
     fvals = agg.ccdf_runs(g)
     fm = np.nanmean(fvals, axis=0)
-    fs = np.nanstd(fvals, axis=0, ddof=1)
+    fs = _nanstd_runs(fvals)
     _write_csv(outdir / "repeat_ccdf.csv",
                [f"y[{yu}]", "ccdf_mean[-]", "ccdf_std[-]", "ccdf_lo[-]", "ccdf_hi[-]"],
                [g, fm, fs, fm - fs, fm + fs])

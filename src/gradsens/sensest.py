@@ -28,10 +28,19 @@ from fractions import Fraction
 import numpy as np
 
 from .model import ModelSpec
-from .numkit import std_normal_pdf
 from .subsim import Bin, BinPartition, CcdfCurve
 
+# Grid rows per kernel matrix.  Each chunk is reduced by one BLAS matmul, whose
+# summation order depends on the row count, so this size fixes the output bits.
 _GRID_CHUNK = 1024
+# Rows filled per elementwise pass, so that each pass over a sub-block stays
+# in L2; the fill is elementwise, so this size does not change any value.
+_FILL_ROWS = 32
+# exp(x) is exactly +0.0 for every x below -745.1332...  numpy's vectorized exp
+# takes a slow path for any vector holding an underflowing lane, so such
+# arguments are replaced by 0 before exp and their results by +0.0 after it.
+_EXP_UNDERFLOW = -746.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class DegenerateResponseError(RuntimeError):
@@ -139,13 +148,39 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     grid, inverse = np.unique(y_grid, return_inverse=True)
     npar = bins.bins[0].g.shape[1]
     raw = np.zeros((grid.shape[0], npar))
+    ncol = max(b.y.shape[0] for b in bins.bins)
+    kbuf = np.empty(min(_GRID_CHUNK, grid.shape[0]) * ncol)
+    zbuf = np.empty(_FILL_ROWS * ncol)
+    under_buf = np.empty(_FILL_ROWS * ncol, dtype=bool)
     for b, w in zip(bins.bins, widths):
         scale = b.probability / (b.count * w)
         for lo in range(0, grid.shape[0], _GRID_CHUNK):
             chunk = grid[lo : lo + _GRID_CHUNK]
-            kmat = std_normal_pdf((b.y[None, :] - chunk[:, None]) / w)
+            kmat = kbuf[: chunk.shape[0] * b.y.shape[0]].reshape(chunk.shape[0], -1)
+            for r in range(0, chunk.shape[0], _FILL_ROWS):
+                _fill_pdf(kmat[r : r + _FILL_ROWS], b.y, chunk[r : r + _FILL_ROWS], w,
+                          zbuf, under_buf)
             raw[lo : lo + _GRID_CHUNK] += scale * (kmat @ b.g)
     return SensitivityCurve(y=y_grid, params=bins.param_names, raw=raw[inverse], widths=widths)
+
+
+def _fill_pdf(out, y, c, w, zbuf, under_buf):
+    """out[i, k] = std_normal_pdf((y[k] - c[i]) / w), bit for bit.
+
+    The operations and their order are those of ``numkit.std_normal_pdf``;
+    ``zbuf`` and ``under_buf`` are scratch space of at least ``out.size``.
+    """
+    z = zbuf[: out.size].reshape(out.shape)
+    under = under_buf[: out.size].reshape(out.shape)
+    np.subtract(y[None, :], c[:, None], out=z)
+    np.divide(z, w, out=z)
+    np.multiply(z, -0.5, out=out)
+    np.multiply(out, z, out=out)
+    np.less(out, _EXP_UNDERFLOW, out=under)
+    np.copyto(out, 0.0, where=under)
+    np.exp(out, out=out)
+    np.divide(out, _SQRT_2PI, out=out)
+    np.copyto(out, 0.0, where=under)
 
 
 def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),

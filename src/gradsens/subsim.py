@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ResponseModel, SampleRecord
+from .model import ModelDomainError, ResponseModel, SampleRecord
 from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
@@ -159,7 +159,18 @@ def mcmc_step(model: ResponseModel, current: SampleRecord, threshold: float,
     return current
 
 
-def _advance_chains(model, x, y, g, threshold, a, s, streams):
+def _check_finite(level, y, g=None):
+    """Reject a model batch holding a NaN or infinite response or gradient."""
+    bad = ~np.isfinite(y)
+    if g is not None:
+        bad |= ~np.isfinite(g).all(axis=1)
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:
+        raise ModelDomainError(f"model returned non-finite output for {n_bad} of "
+                               f"{y.shape[0]} rows at level {level}")
+
+
+def _advance_chains(model, x, y, g, threshold, a, s, streams, level):
     """One synchronous step of all chains; candidates evaluated as one batch."""
     n = x.shape[1]
     z = np.empty_like(x)
@@ -168,12 +179,15 @@ def _advance_chains(model, x, y, g, threshold, a, s, streams):
     xc = a * x + s * z
     if model.eager_gradients:
         yc, gc = model.evaluate_batch(xc)
+        _check_finite(level, yc, gc)
         acc = yc >= threshold
         gnew = gc[acc]
     else:
         yc = model.response_batch(xc)
+        _check_finite(level, yc)
         acc = yc >= threshold
         gnew = model.gradient_batch(xc[acc]) if acc.any() else g[:0]
+        _check_finite(level, yc[acc], gnew)
     x[acc] = xc[acc]
     y[acc] = yc[acc]
     g[acc] = gnew
@@ -185,7 +199,9 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
 
     Gradients are computed for every stored record at generation time; for
     models with ``eager_gradients`` unset they are computed only for accepted
-    candidates, rejected ones reuse the current record.
+    candidates, rejected ones reuse the current record.  A NaN or infinite
+    response or gradient from the model raises ``ModelDomainError`` naming the
+    level, before it can reach a threshold or a bin.
     """
     N, m = config.n_per_level, config.m
     nc, clen = config.n_chains, config.chain_len
@@ -194,6 +210,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
 
     x_lv = root.split(_LEVEL0_STREAM).standard_normal((N, n))
     y_lv, g_lv = model.evaluate_batch(x_lv)
+    _check_finite(0, y_lv, g_lv)
 
     thresholds = []
     bins = []
@@ -229,7 +246,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
         g = g_lv[seeds].copy()
         xs, ys, gs = [x.copy()], [y.copy()], [g.copy()]
         for _ in range(clen - 1):
-            _advance_chains(model, x, y, g, b, a, s, streams)
+            _advance_chains(model, x, y, g, b, a, s, streams, level)
             xs.append(x.copy())
             ys.append(y.copy())
             gs.append(g.copy())

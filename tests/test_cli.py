@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from gradsens.cli import main, read_csv, repeat_runs, single_run
+from gradsens.cli import _write_csv, main, read_csv, repeat_runs, single_run
 from gradsens.responses import NormalResponse, PileResponse
 from gradsens.sensest import KernelSpec
 from gradsens.subsim import SsConfig
@@ -93,6 +94,21 @@ class TestCmdRun:
         assert rc == 3
         assert "model error" in capsys.readouterr().err
 
+    def test_nan_model_output_exit_3(self, tmp_path, capsys, monkeypatch):
+        import gradsens.cli as climod
+
+        class NanNormal(NormalResponse):
+            def evaluate_batch(self, x):
+                y, g = super().evaluate_batch(x)
+                y[::100] = np.nan
+                return y, g
+
+        monkeypatch.setattr(climod, "build_model", lambda name: NanNormal())
+        rc = main(["run", "--model", "normal", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "model error" in err and "10 of 1000 rows at level 0" in err
+
     def test_fixed_width_flag(self, tmp_path):
         rc = main(["run", "--model", "normal", "--width", "fixed:0.2",
                    "--out", str(tmp_path / "out")])
@@ -130,6 +146,23 @@ class TestCmdRepeat:
         assert "frac_dscale_mean[-]" in sens
         man = json.loads((out / "manifest.json").read_text())
         assert man["seeds"] == [11, 12, 13, 14]
+
+    def test_two_runs_raise_no_runtime_warning(self, tmp_path):
+        # grid points outside the second run's range hold one value: std is NaN there
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["repeat", "--model", "normal", "--runs", "2", "--seed", "3",
+                       "--n", "500", "--grid-points", "64", "--out", str(out)])
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        rep = read_csv(out / "repeat_ccdf.csv")
+        agg = repeat_runs(NormalResponse(), SsConfig(m=3, p0=0.1, n_per_level=500, seed=3),
+                          KernelSpec(), runs=2, base_seed=3, grid_points=64, threads=1)
+        single = np.isfinite(agg.ccdf_runs(agg.grid)).sum(axis=0) < 2
+        assert single.any() and not single.all()
+        assert np.all(np.isnan(rep["ccdf_std[-]"][single]))
+        assert np.all(np.isfinite(rep["ccdf_std[-]"][~single]))
 
     def test_thread_count_invariance(self, tmp_path, run_cli):
         outs = {}
@@ -184,6 +217,37 @@ class TestCsvRoundTrip:
         back = read_csv(path)
         assert np.array_equal(back["y[-]"], res.ccdf.y)
         assert np.array_equal(back["f[-]"], res.ccdf.f)
+
+
+def format_loop_csv(header, columns):
+    """The CSV text as first written: one '{:.17g}'.format call per value."""
+    rows = [",".join(header)]
+    for row in np.column_stack(columns):
+        rows.append(",".join("{:.17g}".format(v) for v in row))
+    return "\n".join(rows) + "\n"
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-320,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, -3.0, 1e16,
+                    123456789012345678.0])
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("columns", [
+        [SPECIAL, SPECIAL[::-1]],
+        [SPECIAL, np.arange(SPECIAL.shape[0]), np.full(SPECIAL.shape[0], 2)],
+        [np.array([0.1]), np.array([np.nan]), np.array([7])],
+        [SPECIAL],
+        [np.array([], dtype=float), np.array([], dtype=float)],
+        [np.random.default_rng(0).standard_normal(500)
+         * 10.0 ** np.random.default_rng(1).uniform(-300, 300, 500),
+         np.random.default_rng(2).uniform(-1.0, 1.0, 500)],
+    ], ids=["specials", "bin-indices", "one-row", "one-column", "no-rows", "wide-range"])
+    def test_same_bytes_as_format_loop(self, tmp_path, columns):
+        header = [f"c{j}[-]" for j in range(len(columns))]
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == format_loop_csv(header, columns).encode()
 
 
 class TestRepeatApi:

@@ -1,15 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from gradsens.numkit import RngStream
-from gradsens.responses import NormalResponse
+from gradsens.numkit import RngStream, std_normal_pdf
+from gradsens.responses import NormalResponse, build_model
 from gradsens.sensest import (DegenerateResponseError, KernelSpec, normalize_curve,
                               response_moments, scott_width, sensitivity_direct_mc,
                               sensitivity_subsim)
-from gradsens.subsim import SsConfig, run_subset_simulation
+from gradsens.subsim import Bin, BinPartition, SsConfig, run_subset_simulation
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 
@@ -242,3 +243,75 @@ class TestNormalizeCurve:
         curve = sensitivity_subsim(bins, y_grid=ccdf.y[:-1])
         with pytest.raises(ValueError):
             normalize_curve(curve, ccdf, m.spec)
+
+
+def dense_reference(bins, widths, y_grid):
+    """The estimator as first written: a std_normal_pdf matrix over 1024-row
+    chunks of the unique grid, reduced by one matmul per chunk and bin."""
+    grid, inverse = np.unique(np.asarray(y_grid, dtype=float), return_inverse=True)
+    raw = np.zeros((grid.shape[0], bins.bins[0].g.shape[1]))
+    for b, w in zip(bins.bins, widths):
+        scale = b.probability / (b.count * w)
+        for lo in range(0, grid.shape[0], 1024):
+            chunk = grid[lo : lo + 1024]
+            kmat = std_normal_pdf((b.y[None, :] - chunk[:, None]) / w)
+            raw[lo : lo + 1024] += scale * (kmat @ b.g)
+    return raw[inverse]
+
+
+def assert_matches_dense(bins, kernel=KernelSpec(), y_grid=None):
+    curve = sensitivity_subsim(bins, kernel, y_grid=y_grid)
+    grid = curve.y
+    expected = dense_reference(bins, curve.widths, grid)
+    assert curve.raw.shape == expected.shape
+    assert np.array_equal(curve.raw.view(np.uint64), expected.view(np.uint64))
+    return curve
+
+
+class TestDenseReference:
+    """The blocked, underflow-masked kernel fill reproduces the dense loop bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::gradsens.subsim.ThresholdTieWarning")
+    @pytest.mark.parametrize("n", [1000, 2500])
+    @pytest.mark.parametrize("model", ["normal", "buckling", "pile"])
+    def test_model_bins(self, model, n):
+        m = build_model(model)
+        for seed in (0, 1, 2):
+            bins, ccdf = run_subset_simulation(m, SsConfig(m=3, p0=0.1, n_per_level=n,
+                                                           seed=seed))
+            assert_matches_dense(bins, y_grid=ccdf.y)
+
+    def test_grid_with_duplicates_longer_than_a_chunk(self):
+        m = NormalResponse()
+        bins, ccdf = run_subset_simulation(m, SsConfig(m=2, p0=0.1, n_per_level=1000, seed=3))
+        rng = np.random.default_rng(3)
+        grid = np.concatenate([ccdf.y, rng.choice(ccdf.y, 400), [ccdf.y[0]] * 5])
+        rng.shuffle(grid)
+        assert np.unique(grid).shape[0] > 1024 and grid.shape[0] > np.unique(grid).shape[0]
+        curve = assert_matches_dense(bins, y_grid=grid)
+        assert np.array_equal(curve.y, grid)
+
+    def test_bins_of_unequal_counts(self):
+        rng = np.random.default_rng(5)
+        bins = []
+        for count, loc, p in ((1300, 0.0, 0.5), (40, 2.0, 0.125), (700, 3.0, 0.375)):
+            bins.append(Bin(y=rng.normal(loc, 0.3, count), g=rng.normal(size=(count, 2)),
+                            probability=p, probability_exact=Fraction(p).limit_denominator(),
+                            count=count))
+        part = BinPartition(thresholds=np.array([1.5, 2.5]), bins=bins, p0=0.1,
+                            n_per_level=1300, param_names=("a", "b"))
+        assert_matches_dense(part)
+        assert_matches_dense(part, y_grid=np.linspace(-2.0, 5.0, 50))
+
+    def test_narrow_fixed_width_underflow_and_subnormal_pairs(self):
+        m = NormalResponse()
+        bins, ccdf = run_subset_simulation(m, SsConfig(m=3, p0=0.1, n_per_level=1000, seed=4))
+        w = 0.02
+        arg = np.concatenate([-0.5 * ((b.y[None, :] - ccdf.y[:, None]) / w) ** 2
+                              for b in bins.bins], axis=1)
+        # pairs whose exp underflows to zero, pairs whose pdf is subnormal, and normal ones
+        assert np.count_nonzero(arg < -746.0) > 1000
+        assert np.count_nonzero((arg > -745.0) & (arg < -709.0)) > 1000
+        assert np.count_nonzero(arg > -700.0) > 1000
+        curve = assert_matches_dense(bins, KernelSpec(width_rule="fixed", width=w), ccdf.y)
+        assert np.all(np.isfinite(curve.raw))

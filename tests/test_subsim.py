@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gradsens.model import ModelSpec, ResponseModel, SampleRecord, evaluate
+from gradsens.model import (ModelDomainError, ModelSpec, ResponseModel, SampleRecord,
+                            evaluate)
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
 from gradsens.subsim import (SsConfig, ThresholdTieWarning, correlation_param, mcmc_step,
@@ -154,6 +155,48 @@ class StaircaseModel(ResponseModel):
     def evaluate_batch(self, x):
         y = self.response_batch(x)
         return y, np.ones((y.shape[0], 1))
+
+
+class FaultyModel(ResponseModel):
+    """y = x0 with unit gradient, until response batch ``bad_call`` (1 is the
+    level-0 batch): from then on, row 0 of the response or of the gradient
+    is ``value``."""
+
+    def __init__(self, bad_call, value=np.nan, where="y", eager=True):
+        self.spec = ModelSpec(name="faulty", input_dim=1,
+                              params=(("a", 1.0),), sensitivity_params=("a",))
+        self.bad_call, self.value, self.where = bad_call, value, where
+        self.eager_gradients = eager
+        self.calls = 0
+
+    def response_batch(self, x, a=None):
+        self.calls += 1
+        y = np.atleast_2d(np.asarray(x, dtype=float))[:, 0].copy()
+        if self.where == "y" and self.calls >= self.bad_call:
+            y[0] = self.value
+        return y
+
+    def gradient_batch(self, x):
+        g = np.ones((np.atleast_2d(x).shape[0], 1))
+        if self.where == "g" and self.calls >= self.bad_call:
+            g[0, 0] = self.value
+        return g
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("bad_call, value, where, eager, level", [
+        (1, np.nan, "y", True, 0),
+        (1, np.nan, "g", True, 0),
+        (1, -np.inf, "y", False, 0),
+        (2, np.nan, "y", True, 1),
+        (2, np.nan, "g", True, 1),
+        (2, np.inf, "y", False, 1),
+        (2, np.nan, "g", False, 1),
+    ])
+    def test_raises_at_level(self, bad_call, value, where, eager, level):
+        model = FaultyModel(bad_call, value, where, eager)
+        with pytest.raises(ModelDomainError, match=f"1 of [0-9]+ rows at level {level}$"):
+            run_subset_simulation(model, SsConfig(m=2, p0=0.1, n_per_level=200, seed=1))
 
 
 class TestRunSubsetSimulation:
