@@ -11,7 +11,7 @@ import numpy as np
 from scipy import special
 
 from .model import ResponseModel
-from .numkit import RngStream, std_normal_ccdf, std_normal_pdf
+from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
 
 _CRN_BLOCK = 16384  # rows per input block; part of the deterministic layout
@@ -135,3 +135,39 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
         df[:, pi] = (counts[pi, 0] - counts[pi, 1]) / (n_samples * denom)
     return BenchmarkResult(y=y_grid, f=f_base, df=df, params=params,
                            provenance="crn_fd", n_samples=n_samples, fd_step=rel_step)
+
+
+def _buckling_reference(model, y):
+    return analytic_buckling(y, load=model.load, k2=model.k2, stiffness=model.k[0],
+                             height=model.height, stories=model.stories,
+                             load_cov=model.load_cov, lam0=model.lam0)
+
+
+def _analytic_grid(model, grid_points=256):
+    """Threshold grid at log-spaced exceedance levels of the analytic CCDF."""
+    levels = np.logspace(math.log10(0.999), -4, grid_points)
+    if model.spec.name == "normal":
+        return model.loc + model.scale * std_normal_ccdf_inv(levels)
+    # bisection on the buckling CCDF; it is strictly decreasing in y
+    lo = np.full_like(levels, 1e-6)
+    hi = np.ones_like(levels)
+    while np.any(_buckling_reference(model, hi).f > levels):
+        hi = np.where(_buckling_reference(model, hi).f > levels, hi * 2.0, hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = _buckling_reference(model, mid).f > levels
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
+                  grid_points=256) -> BenchmarkResult:
+    """Analytic references when the model has them, CRN differences otherwise."""
+    if model.spec.name == "normal":
+        grid = _analytic_grid(model, grid_points)
+        return analytic_normal(grid, loc=model.loc, scale=model.scale, mix=model.mix)
+    if model.spec.name == "buckling":
+        return _buckling_reference(model, _analytic_grid(model, grid_points))
+    return crn_central_difference(model, params=params, n_samples=n_samples,
+                                  rel_step=rel_step, seed=seed, grid_points=grid_points)

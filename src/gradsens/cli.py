@@ -13,13 +13,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .benchmarks import analytic_buckling, analytic_normal, crn_central_difference
+from .benchmarks import run_benchmark
 from .model import ModelDomainError, ResponseModel
 from .numkit import NumericalError
 from .responses import MODEL_BUILDERS, build_model
@@ -53,6 +53,20 @@ def read_csv(path) -> dict:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
+def _write_manifest(outdir: Path, command, model, params, **fields):
+    """manifest.json: the command and model identity, then ``fields`` in order."""
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "model": model.spec.name,
+        "response_unit": model.response_unit,
+        "params": {n: v for n, v in model.spec.params},
+        "sensitivity_params": list(params),
+        **fields,
+    }
+    _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=1) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # single run
 
@@ -75,28 +89,23 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
 
 
 def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
-    yu = model.response_unit
-    manifest = {
-        "command": "run",
-        "version": __version__,
-        "model": model.spec.name,
-        "response_unit": yu,
-        "params": {n: v for n, v in model.spec.params},
-        "sensitivity_params": list(params),
-        "config": {"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
-                   "seed": config.seed, "correlation_rule": config.correlation_rule},
-        "kernel": {"kind": kernel.kind, "width_rule": kernel.width_rule,
-                   "width": kernel.width, "bin_widths": list(result.curve.widths)},
-        "model_evaluations": config.model_evaluations,
-        "wall_time_s": result.wall_time_s,
-        "outputs": ["ccdf.csv"]
-        + [f"sensitivity_{p}.csv" for p in params]
+    _write_manifest(
+        outdir, "run", model, params,
+        config={"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
+                "seed": config.seed, "correlation_rule": "quantile-ratio"},
+        kernel={"kind": "gaussian", "width_rule": kernel.width_rule,
+                "width": kernel.width, "bin_widths": list(result.curve.widths)},
+        model_evaluations=config.model_evaluations,
+        wall_time_s=result.wall_time_s,
+        outputs=["ccdf.csv"] + [f"sensitivity_{p}.csv" for p in params]
         + [f"scatter_{p}.csv" for p in params],
-    }
-    _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=1) + "\n")
+    )
 
+    yu = model.response_unit
     curve, ccdf, bins = result.curve, result.ccdf, result.bins
     _write_csv(outdir / "ccdf.csv", [f"y[{yu}]", "ccdf[-]"], [ccdf.y, ccdf.f])
+    ys = np.concatenate([b.y for b in bins.bins])
+    which = np.concatenate([np.full(b.count, i) for i, b in enumerate(bins.bins)])
     for p in params:
         pu = model.param_unit(p)
         _write_csv(
@@ -106,13 +115,10 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
             [curve.y, curve.ccdf, curve.column(p), curve.column(p, "scaled"),
              curve.column(p, "fractional")],
         )
-        value = model.spec.value(p)
-        ys = np.concatenate([b.y for b in bins.bins])
         gs = np.concatenate([b.g[:, curve.params.index(p)] for b in bins.bins])
-        which = np.concatenate([np.full(b.count, i) for i, b in enumerate(bins.bins)])
         _write_csv(outdir / f"scatter_{p}.csv",
                    [f"y[{yu}]", f"{p}_times_gradient[{yu}]", "bin[-]"],
-                   [ys, value * gs, which])
+                   [ys, model.spec.value(p) * gs, which])
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +225,7 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, runs
     t0 = time.perf_counter()
 
     def one(seed):
-        cfg = SsConfig(m=config.m, p0=config.p0, n_per_level=config.n_per_level,
-                       seed=seed, correlation_rule=config.correlation_rule)
-        return single_run(model, cfg, kernel)
+        return single_run(model, replace(config, seed=seed), kernel)
 
     workers = threads if threads is not None else thread_count()
     if workers > 1:
@@ -247,28 +251,21 @@ def thread_count() -> int:
 
 def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult,
                           params, runs, grid_points):
-    yu = model.response_unit
-    manifest = {
-        "command": "repeat",
-        "version": __version__,
-        "model": model.spec.name,
-        "response_unit": yu,
-        "params": {n: v for n, v in model.spec.params},
-        "sensitivity_params": list(params),
-        "config": {"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
-                   "correlation_rule": config.correlation_rule},
-        "kernel": {"kind": kernel.kind, "width_rule": kernel.width_rule,
-                   "width": kernel.width},
-        "runs": runs,
-        "base_seed": config.seed,
-        "seeds": list(agg.seeds),
-        "grid_points": grid_points,
-        "model_evaluations": runs * config.model_evaluations,
-        "wall_time_s": agg.wall_time_s,
-        "outputs": ["repeat_ccdf.csv"] + [f"repeat_sensitivity_{p}.csv" for p in params],
-    }
-    _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=1) + "\n")
+    _write_manifest(
+        outdir, "repeat", model, params,
+        config={"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
+                "correlation_rule": "quantile-ratio"},
+        kernel={"kind": "gaussian", "width_rule": kernel.width_rule, "width": kernel.width},
+        runs=runs,
+        base_seed=config.seed,
+        seeds=list(agg.seeds),
+        grid_points=grid_points,
+        model_evaluations=runs * config.model_evaluations,
+        wall_time_s=agg.wall_time_s,
+        outputs=["repeat_ccdf.csv"] + [f"repeat_sensitivity_{p}.csv" for p in params],
+    )
 
+    yu = model.response_unit
     g = agg.grid
     fvals = agg.ccdf_runs(g)
     fm = np.nanmean(fvals, axis=0)
@@ -296,64 +293,17 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
 # benchmarks
 
 
-def _buckling_reference(model, y):
-    return analytic_buckling(y, load=model.load, k2=model.k2, stiffness=model.k[0],
-                             height=model.height, stories=model.stories,
-                             load_cov=model.load_cov, lam0=model.lam0)
-
-
-def _analytic_grid(model, grid_points=256):
-    """Threshold grid at log-spaced exceedance levels of the analytic CCDF."""
-    levels = np.logspace(math.log10(0.999), -4, grid_points)
-    if model.spec.name == "normal":
-        from .numkit import std_normal_ccdf_inv
-
-        return model.loc + model.scale * std_normal_ccdf_inv(levels)
-    # bisection on the buckling CCDF; it is strictly decreasing in y
-    lo = np.full_like(levels, 1e-6)
-    hi = np.ones_like(levels)
-    while np.any(_buckling_reference(model, hi).f > levels):
-        hi = np.where(_buckling_reference(model, hi).f > levels, hi * 2.0, hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = _buckling_reference(model, mid).f > levels
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
-                  grid_points=256):
-    """Analytic references when the model has them, CRN differences otherwise."""
-    if model.spec.name == "normal":
-        grid = _analytic_grid(model, grid_points)
-        res = analytic_normal(grid, loc=model.loc, scale=model.scale, mix=model.mix)
-    elif model.spec.name == "buckling":
-        res = _buckling_reference(model, _analytic_grid(model, grid_points))
-    else:
-        res = crn_central_difference(model, params=params, n_samples=n_samples,
-                                     rel_step=rel_step, seed=seed,
-                                     grid_points=grid_points)
-    return res
-
-
 def _write_benchmark_outputs(outdir: Path, model, res, params, seed, wall):
+    _write_manifest(
+        outdir, "benchmark", model, params,
+        provenance=res.provenance,
+        n_samples=res.n_samples,
+        fd_step=res.fd_step,
+        seed=seed if res.provenance == "crn_fd" else None,
+        wall_time_s=wall,
+        outputs=[f"benchmark_{p}.csv" for p in params],
+    )
     yu = model.response_unit
-    manifest = {
-        "command": "benchmark",
-        "version": __version__,
-        "model": model.spec.name,
-        "response_unit": yu,
-        "params": {n: v for n, v in model.spec.params},
-        "sensitivity_params": list(params),
-        "provenance": res.provenance,
-        "n_samples": res.n_samples,
-        "fd_step": res.fd_step,
-        "seed": seed if res.provenance == "crn_fd" else None,
-        "wall_time_s": wall,
-        "outputs": [f"benchmark_{p}.csv" for p in params],
-    }
-    _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=1) + "\n")
     values = {n: v for n, v in model.spec.params}
     frac = res.fractional([values[p] for p in res.params])
     for p in params:
@@ -386,7 +336,6 @@ def _build_parser():
             sp.add_argument("--p0", type=float, default=0.1, help="level probability")
             sp.add_argument("--n", type=int, default=1000, help="samples per level")
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--kernel", default="gaussian", choices=["gaussian"])
             sp.add_argument("--width", default="scott",
                             help="'scott', 'scott-global' or 'fixed:<w>'")
 
@@ -422,7 +371,7 @@ def cmd_run(args) -> int:
     model = build_model(args.model)
     params = _select_params(model, args.param)
     config = SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed)
-    kernel = KernelSpec.parse(args.kernel, args.width)
+    kernel = KernelSpec.parse(args.width)
     result = single_run(model, config, kernel)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -434,7 +383,7 @@ def cmd_repeat(args) -> int:
     model = build_model(args.model)
     params = _select_params(model, args.param)
     config = SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed)
-    kernel = KernelSpec.parse(args.kernel, args.width)
+    kernel = KernelSpec.parse(args.width)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     agg = repeat_runs(model, config, kernel, args.runs, args.seed,
                       seeds=seeds, grid_points=args.grid_points)

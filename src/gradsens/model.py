@@ -1,4 +1,4 @@
-"""Response-model contract and the sample record that flows through the engine.
+"""Response-model contract and finite-difference gradients.
 
 A model maps an i.i.d. standard-normal input vector x to a scalar response y
 and, for each declared sensitivity parameter, the derivative of y with respect
@@ -46,27 +46,6 @@ class ModelSpec:
                 return v
         raise KeyError(name)
 
-    @property
-    def sensitivity_values(self) -> np.ndarray:
-        return np.array([self.value(n) for n in self.sensitivity_params])
-
-
-@dataclass
-class SampleRecord:
-    """One input draw with its response and per-parameter response gradients."""
-
-    x: np.ndarray
-    y: float
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        if not np.isfinite(self.y):
-            raise ModelDomainError(f"non-finite response y={self.y}")
-        if not np.all(np.isfinite(self.g)):
-            raise ModelDomainError("non-finite response gradient")
-
 
 class ResponseModel:
     """Base class for response models.
@@ -105,15 +84,6 @@ class ResponseModel:
         return "-"
 
 
-def evaluate(model: ResponseModel, x) -> SampleRecord:
-    """Evaluate one input vector: response plus all declared gradients."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.spec.input_dim,):
-        raise ValueError(f"expected input of shape ({model.spec.input_dim},)")
-    y, g = model.evaluate_batch(x[None, :])
-    return SampleRecord(x=x, y=float(y[0]), g=g[0])
-
-
 def fd_gradient_batch(model: ResponseModel, x: np.ndarray, rel_step: float) -> np.ndarray:
     """Central-difference gradients in each sensitivity parameter.
 
@@ -136,10 +106,3 @@ def fd_gradient_batch(model: ResponseModel, x: np.ndarray, rel_step: float) -> n
             cols.append((hi - lo) / (2.0 * rel_step))
     return np.stack(cols, axis=1)
 
-
-def evaluate_fd_gradient(model: ResponseModel, x, rel_step: float) -> SampleRecord:
-    """Like ``evaluate`` but with finite-difference gradients at the given step."""
-    x = np.asarray(x, dtype=float)
-    y = model.response_batch(x[None, :])
-    g = fd_gradient_batch(model, x[None, :], rel_step)
-    return SampleRecord(x=x, y=float(y[0]), g=g[0])

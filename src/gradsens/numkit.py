@@ -11,7 +11,6 @@ stacked inputs (..., n, n) and broadcast over the leading axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -77,26 +76,8 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric real matrix; the lower triangle is authoritative."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError("SymMatrix requires a square array of order >= 1")
-        lower = np.tril(arr)
-        object.__setattr__(self, "a", lower + lower.T - np.diag(np.diag(lower)))
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-
 def _as_sym_array(m) -> np.ndarray:
-    a = np.asarray(getattr(m, "a", m), dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError("expected square matrix")
     return a
@@ -105,12 +86,6 @@ def _as_sym_array(m) -> np.ndarray:
 def std_normal_pdf(z):
     z = np.asarray(z, dtype=float)
     out = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return out if out.ndim else float(out)
-
-
-def std_normal_cdf(z):
-    """P(Z <= z) for Z ~ N(0,1); scalar or array."""
-    out = special.ndtr(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 

@@ -234,48 +234,41 @@ class SdofResponse(ResponseModel):
             self._zoh_cache[key] = self._zoh(a, b, self.dt)
         return self._zoh_cache[key]
 
-    def response_batch(self, x, zeta=None, omega=None):
+    def _states(self, x, zeta=None, omega=None, full=False):
+        """State rows after each of the n - 1 steps of the recursion, from rest.
+
+        The 2-state oscillator (u, u'), or with ``full`` the 6-state system
+        that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         zeta = self.zeta if zeta is None else zeta
         omega = self.omega if omega is None else omega
-        ad_t, bd = self._matrices(zeta, omega, full=False)
+        ad_t, bd = self._matrices(zeta, omega, full=full)
         ad_t = ad_t.T
         w = self.scale * x
-        state = np.zeros((x.shape[0], 2))
-        best = np.zeros(x.shape[0])
+        state = np.zeros((x.shape[0], bd.shape[0]))
         for j in range(self.n - 1):
             state = state @ ad_t + w[:, j, None] * bd
+            yield state
+
+    def response_batch(self, x, zeta=None, omega=None):
+        best = np.zeros(np.atleast_2d(x).shape[0])
+        for state in self._states(x, zeta, omega):
             np.maximum(best, np.abs(state[:, 0]), out=best)
         return best
 
     def simulate(self, x, zeta=None, omega=None):
         """Displacement trajectories u(j dt), shape (batch, n)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        zeta = self.zeta if zeta is None else zeta
-        omega = self.omega if omega is None else omega
-        ad_t, bd = self._matrices(zeta, omega, full=False)
-        ad_t = ad_t.T
-        w = self.scale * x
-        state = np.zeros((x.shape[0], 2))
-        u = np.zeros((x.shape[0], self.n))
-        for j in range(self.n - 1):
-            state = state @ ad_t + w[:, j, None] * bd
-            u[:, j + 1] = state[:, 0]
+        u = np.zeros((np.atleast_2d(x).shape[0], self.n))
+        for j, state in enumerate(self._states(x, zeta, omega), start=1):
+            u[:, j] = state[:, 0]
         return u
 
     def evaluate_batch(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        nb = x.shape[0]
-        ad_t, bd = self._matrices(self.zeta, self.omega, full=True)
-        ad_t = ad_t.T
-        w = self.scale * x
-        state = np.zeros((nb, 6))
+        nb = np.atleast_2d(x).shape[0]
         traj = np.zeros((nb, self.n, 3))  # u, u_zeta, u_omega
-        for j in range(self.n - 1):
-            state = state @ ad_t + w[:, j, None] * bd
-            traj[:, j + 1, 0] = state[:, 0]
-            traj[:, j + 1, 1] = state[:, 2]
-            traj[:, j + 1, 2] = state[:, 4]
+        for j, state in enumerate(self._states(x, full=True), start=1):
+            traj[:, j] = state[:, ::2]
         u = traj[:, :, 0]
         jstar = np.argmax(np.abs(u), axis=1)  # first maximum wins ties
         rows = np.arange(nb)

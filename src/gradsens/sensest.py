@@ -51,25 +51,22 @@ class DegenerateResponseError(RuntimeError):
 class KernelSpec:
     """Gaussian kernel with a per-bin Scott, global-spread Scott, or fixed width."""
 
-    kind: str = "gaussian"
     width_rule: str = "scott"
     width: float | None = None
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.width_rule not in ("scott", "scott-global", "fixed"):
             raise ValueError(f"unknown width rule {self.width_rule!r}")
         if self.width_rule == "fixed" and not (self.width and self.width > 0.0):
             raise ValueError("fixed width rule needs a positive width")
 
     @classmethod
-    def parse(cls, kind: str, width: str) -> "KernelSpec":
+    def parse(cls, width: str) -> "KernelSpec":
         """Parse CLI-style width spec: 'scott', 'scott-global' or 'fixed:<w>'."""
         if width in ("scott", "scott-global"):
-            return cls(kind=kind, width_rule=width)
+            return cls(width_rule=width)
         if width.startswith("fixed:"):
-            return cls(kind=kind, width_rule="fixed", width=float(width.split(":", 1)[1]))
+            return cls(width_rule="fixed", width=float(width.split(":", 1)[1]))
         raise ValueError(f"width must be 'scott', 'scott-global' or 'fixed:<w>', got {width!r}")
 
 
@@ -187,13 +184,9 @@ def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),
                           y_grid=None, params: tuple = ()) -> SensitivityCurve:
     """Direct-MC kernel estimate: the single-bin case of the SS estimator.
 
-    ``samples`` is either a (y, g) array pair or a sequence of SampleRecord.
+    ``samples`` is the (y, g) pair of responses and gradients.
     """
-    if isinstance(samples, tuple):
-        y, g = samples
-    else:
-        y = np.array([r.y for r in samples])
-        g = np.stack([r.g for r in samples])
+    y, g = samples
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
     if g.ndim == 1:

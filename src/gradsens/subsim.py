@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelDomainError, ResponseModel, SampleRecord
+from .model import ModelDomainError, ResponseModel
 from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
@@ -36,7 +36,9 @@ def _chain_stream(level: int, chain: int) -> int:
 
 
 class ThresholdTieWarning(UserWarning):
-    """More than 1% of a level's seeds share the threshold response value."""
+    """More than 1% of a level's seeds are distinct inputs sharing the threshold
+    response value, i.e. the response has an atom there.  Copies of one state
+    left by rejected chain moves count once."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class SsConfig:
     p0: float = 0.1
     n_per_level: int = 1000
     seed: int = 0
-    correlation_rule: str = "quantile-ratio"
 
     def __post_init__(self):
         if self.m < 1:
@@ -61,8 +62,6 @@ class SsConfig:
             raise ValueError("n_per_level must be a multiple of the seed count p0 * n_per_level")
         if self.m > 1 and self.n_per_level // round(nc) < 2:
             raise ValueError("chains need length 1/p0 >= 2, so p0 <= 0.5")
-        if self.correlation_rule != "quantile-ratio":
-            raise ValueError(f"unknown correlation rule {self.correlation_rule!r}")
 
     @property
     def n_chains(self) -> int:
@@ -134,31 +133,6 @@ def correlation_param(i: int, p0: float):
     return a, math.sqrt(1.0 - a * a)
 
 
-def mcmc_step(model: ResponseModel, current: SampleRecord, threshold: float,
-              a: float, rng: RngStream) -> SampleRecord:
-    """One conditional-sampling step of a chain kept above ``threshold``.
-
-    Draws the candidate x' = a x + sqrt(1-a^2) z, evaluates the model once,
-    and returns the evaluated candidate if its response clears the threshold,
-    otherwise the current record unchanged (a repeated sample).
-    """
-    if current.y < threshold:
-        raise ValueError("chain state below its threshold")
-    s = math.sqrt(max(0.0, 1.0 - a * a))
-    z = rng.standard_normal(current.x.shape[0])
-    xc = a * current.x + s * z
-    if model.eager_gradients:
-        yc, gc = model.evaluate_batch(xc[None, :])
-        if yc[0] >= threshold:
-            return SampleRecord(x=xc, y=float(yc[0]), g=gc[0])
-        return current
-    yc = model.response_batch(xc[None, :])
-    if yc[0] >= threshold:
-        gc = model.gradient_batch(xc[None, :])
-        return SampleRecord(x=xc, y=float(yc[0]), g=gc[0])
-    return current
-
-
 def _check_finite(level, y, g=None):
     """Reject a model batch holding a NaN or infinite response or gradient."""
     bad = ~np.isfinite(y)
@@ -223,10 +197,11 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
         b = float(y_lv[order[nc - 1]])
         seeds = order[:nc]
         rest = order[nc:]
-        n_tied = int(np.count_nonzero(y_lv[seeds] == b))
+        # a rejected move repeats its state, so count distinct inputs only
+        n_tied = len({row.tobytes() for row in x_lv[seeds[y_lv[seeds] == b]]})
         if n_tied > max(1, 0.01 * nc):
             warnings.warn(
-                f"more than 1% of level-{level} seeds tie at the threshold",
+                f"more than 1% of level-{level} seeds are distinct inputs tied at the threshold",
                 ThresholdTieWarning,
                 stacklevel=2,
             )

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradsens.model import (ModelDomainError, ModelSpec, ResponseModel, SampleRecord,
-                            evaluate, evaluate_fd_gradient, fd_gradient_batch)
+from gradsens.model import ModelDomainError, ModelSpec, ResponseModel, fd_gradient_batch
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
+from gradsens.subsim import _check_finite
 
 
 class QuadraticModel(ResponseModel):
@@ -38,33 +38,28 @@ class ShiftModel(ResponseModel):
 
 
 def test_evaluate_normal_at_origin():
-    rec = evaluate(NormalResponse(), np.zeros(2))
-    assert rec.y == 1.0
-    assert np.array_equal(rec.g, [1.0, 0.0, 0.0])
-
-
-def test_evaluate_shape_check():
-    with pytest.raises(ValueError):
-        evaluate(NormalResponse(), np.zeros(3))
+    y, g = NormalResponse().evaluate_batch(np.zeros(2)[None])
+    assert y[0] == 1.0
+    assert np.array_equal(g[0], [1.0, 0.0, 0.0])
 
 
 def test_evaluate_deterministic():
     m = NormalResponse()
-    x = RngStream(3).standard_normal(2)
-    r1, r2 = evaluate(m, x), evaluate(m, x)
-    assert r1.y == r2.y
-    assert np.array_equal(r1.g, r2.g)
+    x = RngStream(3).standard_normal(2)[None]
+    (y1, g1), (y2, g2) = m.evaluate_batch(x), m.evaluate_batch(x)
+    assert y1[0] == y2[0]
+    assert np.array_equal(g1, g2)
 
 
 def test_fd_linear_parameter_exact():
     # response linear in loc: derivative 1 to roundoff
-    rec = evaluate_fd_gradient(NormalResponse(), np.array([0.3, -1.2]), 1e-5)
-    assert rec.g[0] == pytest.approx(1.0, abs=1e-8)
+    g = fd_gradient_batch(NormalResponse(), np.array([[0.3, -1.2]]), 1e-5)
+    assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_fd_quadratic_exact():
-    rec = evaluate_fd_gradient(QuadraticModel(alpha=3.0), np.zeros(1), 1e-3)
-    assert rec.g[0] == pytest.approx(6.0, rel=1e-12)
+    g = fd_gradient_batch(QuadraticModel(alpha=3.0), np.zeros((1, 1)), 1e-3)
+    assert g[0, 0] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_fd_unused_parameter_zero_and_zero_value_fallback():
@@ -89,10 +84,12 @@ def test_fd_matches_analytic_normal():
 
 
 def test_sample_record_rejects_nonfinite():
+    # the engine's entry check on every model batch
     with pytest.raises(ModelDomainError):
-        SampleRecord(x=np.zeros(1), y=float("nan"), g=np.zeros(1))
+        _check_finite(0, np.array([float("nan")]), np.zeros((1, 1)))
     with pytest.raises(ModelDomainError):
-        SampleRecord(x=np.zeros(1), y=0.0, g=np.array([float("inf")]))
+        _check_finite(0, np.zeros(1), np.array([[float("inf")]]))
+    _check_finite(0, np.zeros(1), np.zeros((1, 1)))
 
 
 def test_model_spec_validation():

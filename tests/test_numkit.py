@@ -4,18 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from gradsens.numkit import (NotPositiveDefiniteError, RepeatedEigenvalueError, RngStream,
-                             SymMatrix, cholesky_lower, eigen_derivative,
-                             smallest_gen_eigenpair, std_normal_cdf, std_normal_ccdf,
-                             std_normal_ccdf_inv)
+                             cholesky_lower, eigen_derivative, smallest_gen_eigenpair,
+                             std_normal_ccdf, std_normal_ccdf_inv)
 
 
 def bisect_ccdf_inv(p, lo=-40.0, hi=40.0):
     # independent root-find of P(Z >= x) = p on the CDF
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if 1.0 - std_normal_cdf(mid) > p:
+        if 1.0 - scipy.special.ndtr(mid) > p:
             lo = mid
         else:
             hi = mid
@@ -24,25 +24,25 @@ def bisect_ccdf_inv(p, lo=-40.0, hi=40.0):
 
 class TestStdNormal:
     def test_cdf_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert std_normal_ccdf(0.0) == 0.5
 
     def test_cdf_deep_tail_against_mpmath(self):
         # Phi-bar(8) ~ 6.22e-16 from a 50-digit erfc evaluation
         mpmath.mp.dps = 50
         tail = float(0.5 * mpmath.erfc(8.0 / mpmath.sqrt(2)))
         assert tail == pytest.approx(6.22e-16, rel=1e-3)
-        assert std_normal_cdf(8.0) == pytest.approx(1.0 - tail, abs=1e-16)
+        assert std_normal_ccdf(-8.0) == pytest.approx(1.0 - tail, abs=1e-16)
         assert std_normal_ccdf(8.0) == pytest.approx(tail, rel=1e-13)
 
     def test_cdf_tenth_quantile(self):
-        assert std_normal_cdf(-1.2816) == pytest.approx(0.1000, abs=1e-4)
+        assert std_normal_ccdf(1.2816) == pytest.approx(0.1000, abs=1e-4)
 
     def test_symmetry_and_monotone(self):
         z = RngStream(7).standard_normal(500) * 3.0
-        total = std_normal_cdf(z) + std_normal_cdf(-z)
+        total = std_normal_ccdf(z) + std_normal_ccdf(-z)
         assert np.all(np.abs(total - 1.0) < 1e-14)
         zs = np.sort(z)
-        assert np.all(np.diff(std_normal_cdf(zs)) >= 0.0)
+        assert np.all(np.diff(std_normal_ccdf(zs)) <= 0.0)
 
     def test_ccdf_inv_median(self):
         assert std_normal_ccdf_inv(0.5) == 0.0
@@ -112,18 +112,6 @@ class TestCholesky:
             L = cholesky_lower(spd)
             assert np.array_equal(L, np.tril(L))
             assert np.all(np.diag(L) > 0.0)
-
-    def test_sym_matrix_wrapper(self):
-        m = SymMatrix(np.array([[2.0, 99.0], [0.5, 3.0]]))  # lower wins
-        assert m.order == 2
-        assert m.a[0, 1] == m.a[1, 0] == 0.5
-        L = cholesky_lower(m)
-        assert np.allclose(L @ L.T, m.a)
-        # the wrapper passes through the eigen routines too
-        lam, u = smallest_gen_eigenpair(SymMatrix(np.diag([2.0, 5.0])), SymMatrix(np.eye(2)))
-        assert lam == pytest.approx(2.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
 
 
 def shear_pattern(c):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradsens.model import ModelDomainError, evaluate, fd_gradient_batch
+from gradsens.model import ModelDomainError, fd_gradient_batch
 from gradsens.numkit import RepeatedEigenvalueError, RngStream, smallest_gen_eigenpair
 from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse,
                                 SdofResponse, build_model, lognormal_shift)
@@ -12,15 +12,15 @@ from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse,
 class TestNormalResponse:
     def test_point_values(self):
         m = NormalResponse(loc=1.0, scale=1.0, mix=0.5)
-        rec = evaluate(m, np.array([1.0, 0.0]))
+        y, g = m.evaluate_batch(np.array([[1.0, 0.0]]))
         s = math.sqrt(0.75)
-        assert rec.y == pytest.approx(1.0 + s, rel=1e-15)
-        assert rec.g[1] == pytest.approx(1.0 / s, rel=1e-14)      # 1.1547005
-        assert rec.g[2] == pytest.approx(-0.5 / s, rel=1e-14)     # -0.5773503
+        assert y[0] == pytest.approx(1.0 + s, rel=1e-15)
+        assert g[0, 1] == pytest.approx(1.0 / s, rel=1e-14)      # 1.1547005
+        assert g[0, 2] == pytest.approx(-0.5 / s, rel=1e-14)     # -0.5773503
 
     def test_mix_gradient_second_input(self):
-        rec = evaluate(NormalResponse(), np.array([0.0, 1.0]))
-        assert rec.g[2] == 1.0
+        _, g = NormalResponse().evaluate_batch(np.array([[0.0, 1.0]]))
+        assert g[0, 2] == 1.0
 
     def test_mix_gradient_uncorrelated_with_response(self):
         # cov(Y, dY/dmix) is exactly zero; check within 3 standard errors
@@ -119,9 +119,9 @@ def sdof_pulse_oracle(m, w0):
 
 class TestSdofResponse:
     def test_rest_input(self):
-        rec = evaluate(SdofResponse(), np.zeros(400))
-        assert rec.y == 0.0
-        assert np.array_equal(rec.g, [0.0, 0.0])
+        y, g = SdofResponse().evaluate_batch(np.zeros((1, 400)))
+        assert y[0] == 0.0
+        assert np.array_equal(g[0], [0.0, 0.0])
 
     def test_pulse_matches_closed_form(self):
         m = SdofResponse()
@@ -147,6 +147,14 @@ class TestSdofResponse:
         x2 = x.copy()
         x2[0, -1] += 10.0
         assert m.response_batch(x)[0] == m.response_batch(x2)[0]
+
+    def test_response_is_peak_of_trajectory(self):
+        # response_batch keeps a running maximum of the recursion simulate records
+        m = SdofResponse()
+        x = RngStream(90).standard_normal((5, 400))
+        for kw in ({}, {"zeta": 0.02}, {"omega": 6.0}):
+            y = m.response_batch(x, **kw)
+            assert np.array_equal(y, np.abs(m.simulate(x, **kw)).max(axis=1))
 
     def test_gradient_paths_consistent(self):
         # y from the 6-state gradient pass equals the 2-state response pass
@@ -237,10 +245,10 @@ class TestPileResponse:
 @pytest.mark.parametrize("name", ["normal", "buckling", "sdof", "pile"])
 def test_evaluate_bit_deterministic(name):
     m = build_model(name)
-    x = RngStream(93).standard_normal(m.spec.input_dim)
-    r1, r2 = evaluate(m, x), evaluate(m, x)
-    assert r1.y == r2.y
-    assert np.array_equal(r1.g, r2.g)
+    x = RngStream(93).standard_normal((1, m.spec.input_dim))
+    (y1, g1), (y2, g2) = m.evaluate_batch(x), m.evaluate_batch(x)
+    assert y1[0] == y2[0]
+    assert np.array_equal(g1, g2)
 
 
 def test_build_model_registry():

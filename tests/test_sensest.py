@@ -41,19 +41,15 @@ class TestScottWidth:
 
 class TestKernelSpec:
     def test_parse(self):
-        assert KernelSpec.parse("gaussian", "scott").width_rule == "scott"
-        assert KernelSpec.parse("gaussian", "scott-global").width_rule == "scott-global"
-        k = KernelSpec.parse("gaussian", "fixed:0.25")
+        assert KernelSpec.parse("scott").width_rule == "scott"
+        assert KernelSpec.parse("scott-global").width_rule == "scott-global"
+        k = KernelSpec.parse("fixed:0.25")
         assert (k.width_rule, k.width) == ("fixed", 0.25)
 
     @pytest.mark.parametrize("bad", ["fixed", "fixed:0", "silverman", "fixed:-1"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            KernelSpec.parse("gaussian", bad)
-
-    def test_kind_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec(kind="epanechnikov")
+            KernelSpec.parse(bad)
 
 
 def one_bin_curve(y, g, **kw):
@@ -120,13 +116,6 @@ class TestDirectMcEstimator:
                                          y_grid=np.array([1.0])).raw[0, 0])
             bias[w] = abs(np.mean(est) - exact)
         assert bias[0.1] < bias[0.2]
-
-    def test_accepts_sample_records(self):
-        from gradsens.model import SampleRecord
-        records = [SampleRecord(x=np.zeros(1), y=float(v), g=np.array([1.0]))
-                   for v in (0.0, 0.5, 1.0)]
-        curve = sensitivity_direct_mc(records, y_grid=np.array([0.5]))
-        assert curve.raw.shape == (1, 1)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -271,7 +260,6 @@ def assert_matches_dense(bins, kernel=KernelSpec(), y_grid=None):
 class TestDenseReference:
     """The blocked, underflow-masked kernel fill reproduces the dense loop bit for bit."""
 
-    @pytest.mark.filterwarnings("ignore::gradsens.subsim.ThresholdTieWarning")
     @pytest.mark.parametrize("n", [1000, 2500])
     @pytest.mark.parametrize("model", ["normal", "buckling", "pile"])
     def test_model_bins(self, model, n):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gradsens.model import (ModelDomainError, ModelSpec, ResponseModel, SampleRecord,
-                            evaluate)
+from gradsens.model import ModelDomainError, ModelSpec, ResponseModel
 from gradsens.numkit import RngStream
-from gradsens.responses import NormalResponse
-from gradsens.subsim import (SsConfig, ThresholdTieWarning, correlation_param, mcmc_step,
+from gradsens.responses import NormalResponse, build_model
+from gradsens.subsim import (SsConfig, ThresholdTieWarning, _advance_chains, correlation_param,
                              run_subset_simulation)
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
@@ -64,54 +63,71 @@ class TestSsConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(m=0), dict(p0=0.0), dict(p0=1.0), dict(p0=0.123), dict(p0=0.3),
-        dict(n_per_level=1), dict(correlation_rule="other"),
+        dict(n_per_level=1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SsConfig(**{**DEFAULT, **kwargs})
 
 
+def chain_state(model, x):
+    """Engine chain arrays (x, y, g) for the given (chains, n) start inputs."""
+    x = np.array(x, dtype=float, ndmin=2)
+    y, g = model.evaluate_batch(x)
+    return x, y, g
+
+
+def advance(model, state, threshold, a, streams, steps=1):
+    """``steps`` conditional-sampling steps of the engine on ``state`` in place."""
+    x, y, g = state
+    s = math.sqrt(1.0 - a * a)
+    for _ in range(steps):
+        acc = _advance_chains(model, x, y, g, threshold, a, s, streams, level=1)
+    return acc
+
+
 class TestMcmcStep:
+    """One conditional-sampling step, as the engine's ``_advance_chains`` runs it."""
+
     def test_degenerate_a_keeps_state(self):
         m = NormalResponse()
-        rng = RngStream(40)
-        rec = evaluate(m, np.array([2.5, 0.3]))
+        state = chain_state(m, [2.5, 0.3])
+        x0, y0, g0 = (v.copy() for v in state)
+        rng = [RngStream(40)]
         for _ in range(5):
-            new = mcmc_step(m, rec, threshold=rec.y - 1.0, a=1.0, rng=rng)
-            assert new.y == rec.y
-            assert np.array_equal(new.x, rec.x)
-            rec = new
+            advance(m, state, threshold=y0[0] - 1.0, a=1.0, streams=rng)
+            assert np.array_equal(state[0], x0)
+            assert np.array_equal(state[1], y0)
+            assert np.array_equal(state[2], g0)
 
     def test_replay_is_bit_exact(self):
         m = NormalResponse()
-        rec0 = evaluate(m, np.array([2.0, 1.0]))
         chains = []
         for _ in range(2):
-            rng = RngStream(41, 7)
-            rec, ys = rec0, []
+            state = chain_state(m, [2.0, 1.0])
+            rng = [RngStream(41, 7)]
+            ys = []
             for _ in range(20):
-                rec = mcmc_step(m, rec, threshold=1.5, a=0.7754, rng=rng)
-                ys.append(rec.y)
+                advance(m, state, threshold=1.5, a=0.7754, streams=rng)
+                ys.append(state[1][0])
             chains.append(ys)
         assert chains[0] == chains[1]
 
     def test_rejected_candidate_returns_current(self):
         m = NormalResponse()
-        rec = evaluate(m, np.array([10.0, 0.0]))  # y = 1 + sqrt(.75)*10
-        out = mcmc_step(m, rec, threshold=rec.y - 1e-9, a=0.1, rng=RngStream(42))
+        state = chain_state(m, [10.0, 0.0])  # y = 1 + sqrt(.75)*10
+        x0, y0, g0 = (v.copy() for v in state)
+        acc = advance(m, state, threshold=y0[0] - 1e-9, a=0.1, streams=[RngStream(42)])
         # candidate pulled hard toward the origin: nearly surely below threshold
-        assert out is rec
-
-    def test_state_below_threshold_rejected(self):
-        m = NormalResponse()
-        rec = evaluate(m, np.zeros(2))
-        with pytest.raises(ValueError):
-            mcmc_step(m, rec, threshold=rec.y + 1.0, a=0.5, rng=RngStream(43))
+        assert not acc[0]
+        assert np.array_equal(state[0], x0)
+        assert np.array_equal(state[1], y0)
+        assert np.array_equal(state[2], g0)
 
     def test_stationarity_on_exact_conditional_start(self):
         # start chains from exact samples of X | Y >= b and verify the response
         # distribution is preserved after 10 steps (the proposal/accept kernel
-        # leaves the conditional law invariant)
+        # leaves the conditional law invariant); all chains step as one batch
         m = NormalResponse()
         beta = math.sqrt(m.scale**2 - m.mix**2)
         nu = np.array([beta, m.mix]) / m.scale
@@ -123,16 +139,11 @@ class TestMcmcStep:
         uni = gen._gen.random(n_chains)
         z_tail = scipy.stats.norm.isf(uni * p0)  # exact conditional response scores
         xi = gen.standard_normal(n_chains)
-        x = z_tail[:, None] * nu[None, :] + xi[:, None] * orth[None, :]
-        records = [SampleRecord(x=x[i], y=m.response_batch(x[i][None, :])[0],
-                                g=np.zeros(3)) for i in range(n_chains)]
+        state = chain_state(m, z_tail[:, None] * nu[None, :] + xi[:, None] * orth[None, :])
         a, _ = correlation_param(1, p0)
-        for i, rec in enumerate(records):
-            rng = RngStream(45, i)
-            for _ in range(10):
-                rec = mcmc_step(m, rec, threshold=b, a=a, rng=rng)
-            records[i] = rec
-        y_final = np.array([r.y for r in records])
+        advance(m, state, threshold=b, a=a,
+                streams=[RngStream(45, i) for i in range(n_chains)], steps=10)
+        y_final = state[1]
         assert np.all(y_final >= b)
         for z_probe in (1.5, 2.0, 2.3263):
             target = scipy.stats.norm.sf(z_probe) / p0
@@ -279,6 +290,15 @@ class TestRunSubsetSimulation:
         assert np.all(np.diff(ccdf.f[order]) <= 0.0)
         assert np.all((ccdf.f > 0.0) & (ccdf.f <= 1.0))
         assert [b.count for b in bins.bins] == [180, 200]
+
+    @pytest.mark.filterwarnings("error::gradsens.subsim.ThresholdTieWarning")
+    @pytest.mark.parametrize("model, seed", [("normal", 11), ("buckling", 6), ("sdof", 1),
+                                             ("pile", 0)])
+    def test_repeated_chain_state_is_not_a_tie(self, model, seed):
+        # several records hold the threshold value, but they are copies of one
+        # chain state left by rejected moves, not distinct inputs on an atom
+        bins, ccdf = run_subset_simulation(build_model(model), SsConfig(**DEFAULT, seed=seed))
+        assert np.count_nonzero(ccdf.y == bins.thresholds[-1]) >= 3
 
     def test_seed_changes_results(self):
         m = NormalResponse()
