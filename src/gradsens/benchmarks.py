@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ResponseModel
+from .model import ResponseModel, central_steps
 from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
 
@@ -93,11 +93,13 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     The same input draws feed the up- and down-perturbed responses, so the
     difference variance scales with the step instead of its square.  CCDFs are
     empirical step functions (exceedance counts), no smoothing.  When no grid
-    is given, one is placed at log-spaced exceedance quantiles of the base run.
+    is given, one is placed at log-spaced exceedance quantiles of the base run,
+    down to the level 10 / n_samples, so at least 10 samples are needed then.
     """
-    if not rel_step > 0.0:
-        raise ValueError("rel_step must be positive")
+    if n_samples < 1 or (y_grid is None and n_samples < 10):
+        raise ValueError(f"n_samples={n_samples}: needs 1, or 10 without a y_grid")
     params = tuple(params or model.spec.sensitivity_params)
+    steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
 
     # pass 1: base responses fix the grid and the reference CCDF
@@ -121,18 +123,11 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
         hi = min(lo + _CRN_BLOCK, n_samples)
         x = stream.standard_normal((hi - lo, n_dim))
         for pi, name in enumerate(params):
-            v = model.spec.value(name)
-            steps = (v * (1.0 + rel_step), v * (1.0 - rel_step)) if v != 0.0 \
-                else (rel_step, -rel_step)
-            for si, value in enumerate(steps):
+            for si, value in enumerate(steps[pi][:2]):
                 yb = np.sort(model.response_batch(x, **{name: value}))
                 counts[pi, si] += (hi - lo) - np.searchsorted(yb, y_grid, side="left")
 
-    df = np.empty((y_grid.shape[0], len(params)))
-    for pi, name in enumerate(params):
-        v = model.spec.value(name)
-        denom = 2.0 * (v if v != 0.0 else 1.0) * rel_step
-        df[:, pi] = (counts[pi, 0] - counts[pi, 1]) / (n_samples * denom)
+    df = (counts[:, 0] - counts[:, 1]).T / (n_samples * np.array([s[2] for s in steps]))
     return BenchmarkResult(y=y_grid, f=f_base, df=df, params=params,
                            provenance="crn_fd", n_samples=n_samples, fd_step=rel_step)
 

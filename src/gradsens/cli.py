@@ -23,7 +23,7 @@ from .benchmarks import run_benchmark
 from .model import ModelDomainError, ResponseModel
 from .numkit import NumericalError
 from .responses import MODEL_BUILDERS, build_model
-from .sensest import KernelSpec, normalize_curve, sensitivity_subsim
+from .sensest import KernelSpec, SensitivityCurve, normalize_curve, sensitivity_subsim
 from .subsim import SsConfig, run_subset_simulation
 
 
@@ -125,22 +125,12 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
 # repeated runs
 
 
-@dataclass
-class RunCurves:
-    """One run collapsed to unique thresholds, ready for interpolation."""
-
-    y: np.ndarray
-    log_f: np.ndarray
-    raw: np.ndarray
-    scaled: np.ndarray
-    fractional: np.ndarray
-
-
-def _collapse(result: RunResult) -> RunCurves:
-    y, idx = np.unique(result.ccdf.y, return_index=True)
+def _collapse(result: RunResult) -> SensitivityCurve:
+    """The run's curve cut down to its unique thresholds, ready for interpolation."""
     c = result.curve
-    return RunCurves(y=y, log_f=np.log(result.ccdf.f[idx]), raw=c.raw[idx],
-                     scaled=c.scaled[idx], fractional=c.fractional[idx])
+    y, idx = np.unique(c.y, return_index=True)
+    return replace(c, y=y, raw=c.raw[idx], scaled=c.scaled[idx],
+                   fractional=c.fractional[idx], ccdf=c.ccdf[idx])
 
 
 def _nanstd_runs(vals):
@@ -169,20 +159,18 @@ class RepeatResult:
     run and excluded from the statistics.
     """
 
-    params: tuple
     grid: np.ndarray
-    runs: list
+    runs: list  # per seed, the run's SensitivityCurve at its unique thresholds
     seeds: tuple
     wall_time_s: float = 0.0
 
     def ccdf_runs(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        return np.stack([np.exp(_interp_guarded(y, r.y, r.log_f)) for r in self.runs])
+        return np.stack([np.exp(_interp_guarded(y, r.y, np.log(r.ccdf))) for r in self.runs])
 
     def measure_runs(self, param: str, y, which: str = "fractional") -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        j = self.params.index(param)
-        return np.stack([_interp_guarded(y, r.y, getattr(r, which)[:, j]) for r in self.runs])
+        return np.stack([_interp_guarded(y, r.y, r.column(param, which)) for r in self.runs])
 
     def mean_ccdf(self, y):
         return np.nanmean(self.ccdf_runs(y), axis=0)
@@ -202,24 +190,17 @@ class RepeatResult:
         return float(np.interp(math.log(f_target), logf, ygrid))
 
 
-def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, runs: int,
-                base_seed: int, seeds=None, grid_points: int = 200,
-                threads: int | None = None) -> RepeatResult:
-    """Independent seeded runs aggregated onto a fixed threshold grid.
+def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,
+                grid_points: int = 200) -> RepeatResult:
+    """One run per seed (at least 2, distinct), aggregated onto a fixed threshold grid.
 
-    Run r uses seed base_seed + r unless explicit distinct seeds are given.
-    The model is shared read-only across workers; results are reduced in run
-    order, so the output is invariant to the worker count.  The grid is placed
-    at quantiles of the first run's pooled sample values.
+    The model is shared read-only across ``thread_count()`` workers; results
+    are reduced in seed order, so the output is invariant to the worker count.
+    The grid is placed at quantiles of the first run's pooled sample values.
     """
-    if runs < 2:
+    seeds = tuple(int(s) for s in seeds)
+    if len(seeds) < 2:
         raise ValueError("need at least 2 runs")
-    if seeds is None:
-        seeds = tuple(base_seed + r for r in range(runs))
-    else:
-        seeds = tuple(int(s) for s in seeds)
-        if len(seeds) != runs:
-            raise ValueError("number of seeds must match the run count")
     if len(set(seeds)) != len(seeds):
         raise ValueError("run seeds must be distinct")
     t0 = time.perf_counter()
@@ -227,18 +208,10 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, runs
     def one(seed):
         return single_run(model, replace(config, seed=seed), kernel)
 
-    workers = threads if threads is not None else thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
-
-    pool_y = results[0].ccdf.y
-    grid = np.unique(np.quantile(pool_y, np.linspace(0.0, 1.0, grid_points)))
-    collected = [_collapse(r) for r in results]
-    return RepeatResult(params=tuple(model.spec.sensitivity_params), grid=grid,
-                        runs=collected, seeds=seeds,
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+        results = list(pool.map(one, seeds))
+    grid = np.unique(np.quantile(results[0].ccdf.y, np.linspace(0.0, 1.0, grid_points)))
+    return RepeatResult(grid=grid, runs=[_collapse(r) for r in results], seeds=seeds,
                         wall_time_s=time.perf_counter() - t0)
 
 
@@ -250,7 +223,8 @@ def thread_count() -> int:
 
 
 def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult,
-                          params, runs, grid_points):
+                          params, grid_points):
+    runs = len(agg.seeds)
     _write_manifest(
         outdir, "repeat", model, params,
         config={"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
@@ -384,13 +358,13 @@ def cmd_repeat(args) -> int:
     params = _select_params(model, args.param)
     config = SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed)
     kernel = KernelSpec.parse(args.width)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
-    agg = repeat_runs(model, config, kernel, args.runs, args.seed,
-                      seeds=seeds, grid_points=args.grid_points)
+    seeds = args.seeds.split(",") if args.seeds else range(args.seed, args.seed + args.runs)
+    if len(seeds) != args.runs:
+        raise ValueError("number of seeds must match the run count")
+    agg = repeat_runs(model, config, kernel, seeds, grid_points=args.grid_points)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_repeat_outputs(outdir, model, config, kernel, agg, params,
-                          args.runs, args.grid_points)
+    _write_repeat_outputs(outdir, model, config, kernel, agg, params, args.grid_points)
     return 0
 
 

@@ -84,25 +84,24 @@ class ResponseModel:
         return "-"
 
 
-def fd_gradient_batch(model: ResponseModel, x: np.ndarray, rel_step: float) -> np.ndarray:
-    """Central-difference gradients in each sensitivity parameter.
-
-    g_j = [f(x, a_j (1+h)) - f(x, a_j (1-h))] / (2 a_j h).  A parameter whose
-    nominal value is exactly zero falls back to the absolute step h * 1.0.
+def central_steps(value: float, rel_step: float):
+    """(a (1+h), a (1-h), 2 a h): the two perturbed values of a parameter with
+    nominal value a and the divisor of their central difference.  A parameter
+    whose nominal value is exactly zero falls back to the absolute step h * 1.0.
     """
     if not rel_step > 0.0:
         raise ValueError("rel_step must be positive")
+    if value != 0.0:
+        return value * (1.0 + rel_step), value * (1.0 - rel_step), 2.0 * value * rel_step
+    return rel_step, -rel_step, 2.0 * rel_step
+
+
+def fd_gradient_batch(model: ResponseModel, x: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central-difference gradients in each sensitivity parameter (``central_steps``)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     cols = []
     for name in model.spec.sensitivity_params:
-        v = model.spec.value(name)
-        if v != 0.0:
-            hi = model.response_batch(x, **{name: v * (1.0 + rel_step)})
-            lo = model.response_batch(x, **{name: v * (1.0 - rel_step)})
-            cols.append((hi - lo) / (2.0 * v * rel_step))
-        else:
-            hi = model.response_batch(x, **{name: rel_step})
-            lo = model.response_batch(x, **{name: -rel_step})
-            cols.append((hi - lo) / (2.0 * rel_step))
+        up, down, denom = central_steps(model.spec.value(name), rel_step)
+        cols.append((model.response_batch(x, **{name: up})
+                     - model.response_batch(x, **{name: down})) / denom)
     return np.stack(cols, axis=1)
-

@@ -277,11 +277,6 @@ class SdofResponse(ResponseModel):
         g = chi[:, None] * traj[rows, jstar, 1:]
         return np.abs(upeak), g
 
-    def peak_index(self, x, zeta=None, omega=None):
-        """Index of the peak |u|; used to detect active-peak switches."""
-        u = self.simulate(x, zeta=zeta, omega=omega)
-        return np.argmax(np.abs(u), axis=1)
-
 
 class PileResponse(ResponseModel):
     """Serviceability of an axially loaded pile in sand: y = design load over

@@ -57,8 +57,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.width_rule not in ("scott", "scott-global", "fixed"):
             raise ValueError(f"unknown width rule {self.width_rule!r}")
-        if self.width_rule == "fixed" and not (self.width and self.width > 0.0):
-            raise ValueError("fixed width rule needs a positive width")
+        if self.width_rule == "fixed" and not (self.width and 0.0 < self.width < math.inf):
+            raise ValueError("fixed width rule needs a finite positive width")
 
     @classmethod
     def parse(cls, width: str) -> "KernelSpec":
@@ -198,8 +198,6 @@ def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),
     one_bin = BinPartition(
         thresholds=np.array([]),
         bins=[Bin(y=y, g=g, probability=1.0, probability_exact=Fraction(1), count=y.shape[0])],
-        p0=1.0,
-        n_per_level=y.shape[0],
         param_names=tuple(params),
     )
     return sensitivity_subsim(one_bin, kernel, y_grid)

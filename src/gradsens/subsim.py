@@ -96,8 +96,6 @@ class Bin:
 class BinPartition:
     thresholds: np.ndarray  # b_1 < ... < b_{m-1}
     bins: list
-    p0: float
-    n_per_level: int
     param_names: tuple
 
     @property
@@ -133,8 +131,14 @@ def correlation_param(i: int, p0: float):
     return a, math.sqrt(1.0 - a * a)
 
 
-def _check_finite(level, y, g=None):
-    """Reject a model batch holding a NaN or infinite response or gradient."""
+def _check_finite(level, rows, npar, y, g=None):
+    """Reject a model batch for ``rows`` inputs whose response is not of shape
+    (rows,), whose gradient is not of shape (rows, npar), or which holds a NaN
+    or infinite value."""
+    if y.shape != (rows,) or (g is not None and g.shape != (rows, npar)):
+        got = f"{y.shape}" if g is None else f"{y.shape} and {g.shape}"
+        raise ModelDomainError(f"model returned shapes {got} for {rows} rows and {npar} "
+                               f"sensitivity parameters at level {level}")
     bad = ~np.isfinite(y)
     if g is not None:
         bad |= ~np.isfinite(g).all(axis=1)
@@ -146,22 +150,23 @@ def _check_finite(level, y, g=None):
 
 def _advance_chains(model, x, y, g, threshold, a, s, streams, level):
     """One synchronous step of all chains; candidates evaluated as one batch."""
-    n = x.shape[1]
+    rows, n = x.shape
+    npar = g.shape[1]
     z = np.empty_like(x)
     for c, stream in enumerate(streams):
         z[c] = stream.standard_normal(n)
     xc = a * x + s * z
     if model.eager_gradients:
         yc, gc = model.evaluate_batch(xc)
-        _check_finite(level, yc, gc)
+        _check_finite(level, rows, npar, yc, gc)
         acc = yc >= threshold
         gnew = gc[acc]
     else:
         yc = model.response_batch(xc)
-        _check_finite(level, yc)
+        _check_finite(level, rows, npar, yc)
         acc = yc >= threshold
         gnew = model.gradient_batch(xc[acc]) if acc.any() else g[:0]
-        _check_finite(level, yc[acc], gnew)
+        _check_finite(level, int(np.count_nonzero(acc)), npar, yc[acc], gnew)
     x[acc] = xc[acc]
     y[acc] = yc[acc]
     g[acc] = gnew
@@ -174,8 +179,8 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
     Gradients are computed for every stored record at generation time; for
     models with ``eager_gradients`` unset they are computed only for accepted
     candidates, rejected ones reuse the current record.  A NaN or infinite
-    response or gradient from the model raises ``ModelDomainError`` naming the
-    level, before it can reach a threshold or a bin.
+    response or gradient, or one of the wrong shape, raises ``ModelDomainError``
+    naming the level, before it can reach a threshold or a bin.
     """
     N, m = config.n_per_level, config.m
     nc, clen = config.n_chains, config.chain_len
@@ -184,7 +189,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
 
     x_lv = root.split(_LEVEL0_STREAM).standard_normal((N, n))
     y_lv, g_lv = model.evaluate_batch(x_lv)
-    _check_finite(0, y_lv, g_lv)
+    _check_finite(0, N, len(model.spec.sensitivity_params), y_lv, g_lv)
 
     thresholds = []
     bins = []
@@ -207,8 +212,8 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
             )
         thresholds.append(b)
         bins.append(Bin(
-            y=y_lv[rest].copy(),
-            g=g_lv[rest].copy(),
+            y=y_lv[rest],
+            g=g_lv[rest],
             probability=p0f ** (level - 1) * (1.0 - p0f),
             probability_exact=p0x ** (level - 1) * (1 - p0x),
             count=N - nc,
@@ -216,23 +221,18 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
 
         a, s = correlation_param(level, p0f)
         streams = [root.split(_chain_stream(level, c)) for c in range(nc)]
-        x = x_lv[seeds].copy()
-        y = y_lv[seeds].copy()
-        g = g_lv[seeds].copy()
-        xs, ys, gs = [x.copy()], [y.copy()], [g.copy()]
-        for _ in range(clen - 1):
-            _advance_chains(model, x, y, g, b, a, s, streams, level)
-            xs.append(x.copy())
-            ys.append(y.copy())
-            gs.append(g.copy())
-        x_lv = np.concatenate(xs, axis=0)
-        y_lv = np.concatenate(ys, axis=0)
-        g_lv = np.concatenate(gs, axis=0)
+        # chain states by step: row t * nc + c of the level is step t of chain c
+        xs, ys, gs = (np.empty((clen, nc) + v.shape[1:], v.dtype) for v in (x_lv, y_lv, g_lv))
+        xs[0], ys[0], gs[0] = x_lv[seeds], y_lv[seeds], g_lv[seeds]
+        for t in range(1, clen):
+            xs[t], ys[t], gs[t] = xs[t - 1], ys[t - 1], gs[t - 1]
+            _advance_chains(model, xs[t], ys[t], gs[t], b, a, s, streams, level)
+        x_lv, y_lv, g_lv = xs.reshape(N, n), ys.reshape(N), gs.reshape(N, -1)
         levels_y.append(y_lv)
 
     bins.append(Bin(
-        y=y_lv.copy(),
-        g=g_lv.copy(),
+        y=y_lv,
+        g=g_lv,
         probability=p0f ** (m - 1),
         probability_exact=p0x ** (m - 1),
         count=N,
@@ -241,8 +241,6 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
     partition = BinPartition(
         thresholds=np.array(thresholds),
         bins=bins,
-        p0=p0f,
-        n_per_level=N,
         param_names=tuple(model.spec.sensitivity_params),
     )
     return partition, _assemble_ccdf(levels_y, partition.thresholds, p0f)

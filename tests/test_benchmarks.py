@@ -175,3 +175,15 @@ class TestCrnCentralDifference:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             crn_central_difference(NormalResponse(), rel_step=0.0, n_samples=100)
+
+    @pytest.mark.parametrize("n, y_grid", [(0, None), (-3, None), (9, None), (0, [1.0])])
+    def test_rejects_too_few_samples(self, n, y_grid):
+        # the default grid reaches down to the exceedance level 10 / n
+        with pytest.raises(ValueError, match=f"n_samples={n}"):
+            crn_central_difference(NormalResponse(), n_samples=n, y_grid=y_grid)
+
+    def test_few_samples_on_a_given_grid(self):
+        res = crn_central_difference(NormalResponse(), params=("loc",), n_samples=4,
+                                     y_grid=[-10.0, 10.0])
+        assert np.array_equal(res.f, [1.0, 0.0])
+        assert np.array_equal(res.df, [[0.0], [0.0]])

@@ -109,6 +109,26 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "model error" in err and "10 of 1000 rows at level 0" in err
 
+    def test_misshapen_model_output_exit_3(self, tmp_path, capsys, monkeypatch):
+        import gradsens.cli as climod
+
+        class ShortGradient(NormalResponse):
+            def evaluate_batch(self, x):
+                y, g = super().evaluate_batch(x)
+                return y, g[:5]
+
+        monkeypatch.setattr(climod, "build_model", lambda name: ShortGradient())
+        rc = main(["run", "--model", "normal", "--n", "200", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "model error" in err and "(5, 3) for 200 rows" in err and "level 0" in err
+
+    def test_infinite_fixed_width_exit_2(self, tmp_path, capsys):
+        rc = main(["run", "--model", "normal", "--width", "fixed:inf",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "finite positive width" in capsys.readouterr().err
+
     def test_fixed_width_flag(self, tmp_path):
         rc = main(["run", "--model", "normal", "--width", "fixed:0.2",
                    "--out", str(tmp_path / "out")])
@@ -124,6 +144,12 @@ class TestCmdRepeat:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "distinct" in capsys.readouterr().err
+
+    def test_seed_count_must_match_runs(self, tmp_path, capsys):
+        rc = main(["repeat", "--model", "normal", "--runs", "3", "--seeds", "1,2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "match the run count" in capsys.readouterr().err
 
     def test_single_run_rejected(self, tmp_path):
         rc = main(["repeat", "--model", "normal", "--runs", "1",
@@ -158,7 +184,7 @@ class TestCmdRepeat:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         rep = read_csv(out / "repeat_ccdf.csv")
         agg = repeat_runs(NormalResponse(), SsConfig(m=3, p0=0.1, n_per_level=500, seed=3),
-                          KernelSpec(), runs=2, base_seed=3, grid_points=64, threads=1)
+                          KernelSpec(), range(3, 5), grid_points=64)
         single = np.isfinite(agg.ccdf_runs(agg.grid)).sum(axis=0) < 2
         assert single.any() and not single.all()
         assert np.all(np.isnan(rep["ccdf_std[-]"][single]))
@@ -198,6 +224,12 @@ class TestCmdBenchmark:
         assert man["provenance"] == "crn_fd"
         assert man["n_samples"] == 2000
         assert man["fd_step"] == 0.01
+
+    def test_zero_samples_exit_2(self, tmp_path, capsys):
+        rc = main(["benchmark", "--model", "sdof", "--samples", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: n_samples=0" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
@@ -254,7 +286,7 @@ class TestRepeatApi:
     def test_aggregate_probes(self):
         m = NormalResponse()
         cfg = SsConfig(m=2, p0=0.1, n_per_level=500, seed=40)
-        agg = repeat_runs(m, cfg, KernelSpec(), runs=8, base_seed=40, threads=1)
+        agg = repeat_runs(m, cfg, KernelSpec(), range(40, 48))
         y10 = agg.y_at_mean_ccdf(0.1)
         # inversion runs on the grid-sampled mean curve: off-node both readings
         # agree only to interpolation error
@@ -262,11 +294,13 @@ class TestRepeatApi:
         mean, std = agg.mean_measure("loc", np.array([y10]))
         assert np.isfinite(mean[0]) and std[0] > 0.0
 
-    def test_thread_workers_match_serial(self):
+    def test_thread_workers_match_serial(self, monkeypatch):
         m = NormalResponse()
         cfg = SsConfig(m=2, p0=0.1, n_per_level=300, seed=60)
-        a = repeat_runs(m, cfg, KernelSpec(), runs=6, base_seed=60, threads=1)
-        b = repeat_runs(m, cfg, KernelSpec(), runs=6, base_seed=60, threads=4)
+        monkeypatch.setenv("GRADSENS_THREADS", "1")
+        a = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
+        monkeypatch.setenv("GRADSENS_THREADS", "4")
+        b = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
         for ra, rb in zip(a.runs, b.runs):
             assert np.array_equal(ra.y, rb.y)
             assert np.array_equal(ra.fractional, rb.fractional)
@@ -277,12 +311,14 @@ class TestRepeatApi:
         res = single_run(m, SsConfig(m=2, p0=0.1, n_per_level=100, seed=2), KernelSpec())
         assert all(np.all(np.isfinite(b.g)) for b in res.bins.bins)
 
-    def test_pile_threaded_repeat_matches_serial(self):
+    def test_pile_threaded_repeat_matches_serial(self, monkeypatch):
         # the finite-difference gradient path is pure: shared-model workers
         # reproduce the serial result exactly
         m = PileResponse()
         cfg = SsConfig(m=2, p0=0.1, n_per_level=100, seed=70)
-        a = repeat_runs(m, cfg, KernelSpec(), runs=4, base_seed=70, threads=1)
-        b = repeat_runs(m, cfg, KernelSpec(), runs=4, base_seed=70, threads=3)
+        monkeypatch.setenv("GRADSENS_THREADS", "1")
+        a = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
+        monkeypatch.setenv("GRADSENS_THREADS", "3")
+        b = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
         for ra, rb in zip(a.runs, b.runs):
             assert np.array_equal(ra.fractional, rb.fractional)

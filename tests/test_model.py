@@ -86,10 +86,10 @@ def test_fd_matches_analytic_normal():
 def test_sample_record_rejects_nonfinite():
     # the engine's entry check on every model batch
     with pytest.raises(ModelDomainError):
-        _check_finite(0, np.array([float("nan")]), np.zeros((1, 1)))
+        _check_finite(0, 1, 1, np.array([float("nan")]), np.zeros((1, 1)))
     with pytest.raises(ModelDomainError):
-        _check_finite(0, np.zeros(1), np.array([[float("inf")]]))
-    _check_finite(0, np.zeros(1), np.zeros((1, 1)))
+        _check_finite(0, 1, 1, np.zeros(1), np.array([[float("inf")]]))
+    _check_finite(0, 1, 1, np.zeros(1), np.zeros((1, 1)))
 
 
 def test_model_spec_validation():

@@ -46,7 +46,9 @@ class TestKernelSpec:
         k = KernelSpec.parse("fixed:0.25")
         assert (k.width_rule, k.width) == ("fixed", 0.25)
 
-    @pytest.mark.parametrize("bad", ["fixed", "fixed:0", "silverman", "fixed:-1"])
+    # an infinite width would flatten every kernel to zero: all-zero dF columns
+    @pytest.mark.parametrize("bad", ["fixed", "fixed:0", "silverman", "fixed:-1", "fixed:inf",
+                                     "fixed:nan"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             KernelSpec.parse(bad)
@@ -286,8 +288,7 @@ class TestDenseReference:
             bins.append(Bin(y=rng.normal(loc, 0.3, count), g=rng.normal(size=(count, 2)),
                             probability=p, probability_exact=Fraction(p).limit_denominator(),
                             count=count))
-        part = BinPartition(thresholds=np.array([1.5, 2.5]), bins=bins, p0=0.1,
-                            n_per_level=1300, param_names=("a", "b"))
+        part = BinPartition(thresholds=np.array([1.5, 2.5]), bins=bins, param_names=("a", "b"))
         assert_matches_dense(part)
         assert_matches_dense(part, y_grid=np.linspace(-2.0, 5.0, 50))
 

@@ -194,6 +194,42 @@ class FaultyModel(ResponseModel):
         return g
 
 
+class MisshapenModel(FaultyModel):
+    """FaultyModel with finite output whose shape goes wrong from batch
+    ``bad_call`` on: the response as a column (``where="y"``), the gradient one
+    row short (``"g"``) or with an extra column (``"cols"``)."""
+
+    def __init__(self, bad_call, where, eager):
+        super().__init__(bad_call, 0.0, where, eager)
+
+    def response_batch(self, x, a=None):
+        y = super().response_batch(x)
+        return y[:, None] if self.where == "y" and self.calls >= self.bad_call else y
+
+    def gradient_batch(self, x):
+        g = super().gradient_batch(x)
+        if self.calls < self.bad_call:
+            return g
+        return {"g": g[1:], "cols": np.hstack([g, g])}.get(self.where, g)
+
+
+class TestMisshapenOutput:
+    @pytest.mark.parametrize("bad_call, where, eager, level", [
+        (1, "y", True, 0),
+        (1, "g", True, 0),
+        (1, "cols", False, 0),
+        (2, "y", True, 1),
+        (2, "g", True, 1),
+        (2, "cols", True, 1),
+        (2, "y", False, 1),
+        (2, "g", False, 1),
+    ])
+    def test_raises_at_level(self, bad_call, where, eager, level):
+        model = MisshapenModel(bad_call, where, eager)
+        with pytest.raises(ModelDomainError, match=f"model returned shapes .* at level {level}$"):
+            run_subset_simulation(model, SsConfig(m=2, p0=0.1, n_per_level=200, seed=1))
+
+
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("bad_call, value, where, eager, level", [
         (1, np.nan, "y", True, 0),
