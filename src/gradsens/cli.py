@@ -203,6 +203,8 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
         raise ValueError("need at least 2 runs")
     if len(set(seeds)) != len(seeds):
         raise ValueError("run seeds must be distinct")
+    if grid_points < 2:
+        raise ValueError(f"grid_points={grid_points}: needs at least 2")
     t0 = time.perf_counter()
 
     def one(seed):

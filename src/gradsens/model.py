@@ -86,11 +86,12 @@ class ResponseModel:
 
 def central_steps(value: float, rel_step: float):
     """(a (1+h), a (1-h), 2 a h): the two perturbed values of a parameter with
-    nominal value a and the divisor of their central difference.  A parameter
-    whose nominal value is exactly zero falls back to the absolute step h * 1.0.
+    nominal value a and the divisor of their central difference; h < 1 keeps
+    both values on the side of zero that a is on.  A parameter whose nominal
+    value is exactly zero falls back to the absolute step h * 1.0.
     """
-    if not rel_step > 0.0:
-        raise ValueError("rel_step must be positive")
+    if not 0.0 < rel_step < 1.0:
+        raise ValueError(f"rel_step={rel_step}: needs 0 < rel_step < 1")
     if value != 0.0:
         return value * (1.0 + rel_step), value * (1.0 - rel_step), 2.0 * value * rel_step
     return rel_step, -rel_step, 2.0 * rel_step

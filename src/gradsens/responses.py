@@ -235,7 +235,8 @@ class SdofResponse(ResponseModel):
         return self._zoh_cache[key]
 
     def _states(self, x, zeta=None, omega=None, full=False):
-        """State rows after each of the n - 1 steps of the recursion, from rest.
+        """State columns (states, batch) after each of the n - 1 steps of the
+        recursion, from rest, yielded in one reused buffer.
 
         The 2-state oscillator (u, u'), or with ``full`` the 6-state system
         that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
@@ -243,38 +244,42 @@ class SdofResponse(ResponseModel):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         zeta = self.zeta if zeta is None else zeta
         omega = self.omega if omega is None else omega
-        ad_t, bd = self._matrices(zeta, omega, full=full)
-        ad_t = ad_t.T
-        w = self.scale * x
-        state = np.zeros((x.shape[0], bd.shape[0]))
+        ad, bd = self._matrices(zeta, omega, full=full)
+        w = np.multiply(x[:, : self.n - 1].T, self.scale, order="C")
+        state = np.zeros((bd.shape[0], x.shape[0]))
+        nxt = np.empty_like(state)
         for j in range(self.n - 1):
-            state = state @ ad_t + w[:, j, None] * bd
+            np.matmul(ad, state, out=nxt)
+            np.multiply(bd[:, None], w[j], out=state)  # the kick, once state is spent
+            np.add(nxt, state, out=state)
             yield state
 
     def response_batch(self, x, zeta=None, omega=None):
         best = np.zeros(np.atleast_2d(x).shape[0])
         for state in self._states(x, zeta, omega):
-            np.maximum(best, np.abs(state[:, 0]), out=best)
+            np.maximum(best, np.abs(state[0]), out=best)
         return best
 
     def simulate(self, x, zeta=None, omega=None):
         """Displacement trajectories u(j dt), shape (batch, n)."""
         u = np.zeros((np.atleast_2d(x).shape[0], self.n))
         for j, state in enumerate(self._states(x, zeta, omega), start=1):
-            u[:, j] = state[:, 0]
+            u[:, j] = state[0]
         return u
 
     def evaluate_batch(self, x):
         nb = np.atleast_2d(x).shape[0]
-        traj = np.zeros((nb, self.n, 3))  # u, u_zeta, u_omega
+        traj = np.zeros((self.n, 3, nb))  # u, u_zeta, u_omega
         for j, state in enumerate(self._states(x, full=True), start=1):
-            traj[:, j] = state[:, ::2]
-        u = traj[:, :, 0]
-        jstar = np.argmax(np.abs(u), axis=1)  # first maximum wins ties
+            traj[j] = state[::2]
+        u = traj[:, 0]
+        # |u| into a (batch, n) buffer: argmax(axis=0) would copy its input
+        peak = np.abs(u.T, out=np.empty((nb, self.n)))
+        jstar = np.argmax(peak, axis=1)  # first maximum wins ties
         rows = np.arange(nb)
-        upeak = u[rows, jstar]
+        upeak = u[jstar, rows]
         chi = np.where(upeak < 0.0, -1.0, 1.0)
-        g = chi[:, None] * traj[rows, jstar, 1:]
+        g = chi[:, None] * traj[jstar, 1:, rows]
         return np.abs(upeak), g
 
 

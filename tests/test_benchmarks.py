@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gradsens.benchmarks import analytic_buckling, analytic_normal, crn_central_difference
-from gradsens.model import ModelSpec, ResponseModel
+from gradsens.benchmarks import (_CRN_BLOCK, analytic_buckling, analytic_normal,
+                                 crn_central_difference, run_benchmark)
+from gradsens.model import ModelSpec, ResponseModel, central_steps
 from gradsens.numkit import RngStream
-from gradsens.responses import BucklingResponse, NormalResponse
+from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse, SdofResponse,
+                                build_model)
 
 
 class TestAnalyticNormal:
@@ -187,3 +189,61 @@ class TestCrnCentralDifference:
                                      y_grid=[-10.0, 10.0])
         assert np.array_equal(res.f, [1.0, 0.0])
         assert np.array_equal(res.df, [[0.0], [0.0]])
+
+
+def two_pass_crn(model, params=None, n_samples=10**6, rel_step=0.01, seed=0,
+                 y_grid=None, grid_points=256):
+    """Two-pass CRN differences, the bitwise reference for
+    ``crn_central_difference``: base responses first, then the same draws
+    again, counting the exceedances of each perturbed block as it comes."""
+    params = tuple(params or model.spec.sensitivity_params)
+    steps = [central_steps(model.spec.value(name), rel_step) for name in params]
+    n_dim = model.spec.input_dim
+    stream = RngStream(seed)
+    base = np.empty(n_samples)
+    for lo in range(0, n_samples, _CRN_BLOCK):
+        hi = min(lo + _CRN_BLOCK, n_samples)
+        base[lo:hi] = model.response_batch(stream.standard_normal((hi - lo, n_dim)))
+    base.sort()
+    if y_grid is None:
+        levels = np.logspace(math.log10(0.999), math.log10(max(10.0 / n_samples, 1e-6)),
+                             grid_points)
+        y_grid = np.quantile(base, 1.0 - levels)
+    y_grid = np.asarray(y_grid, dtype=float)
+    f_base = (n_samples - np.searchsorted(base, y_grid, side="left")) / n_samples
+    counts = np.zeros((len(params), 2, y_grid.shape[0]))
+    stream = RngStream(seed)
+    for lo in range(0, n_samples, _CRN_BLOCK):
+        hi = min(lo + _CRN_BLOCK, n_samples)
+        x = stream.standard_normal((hi - lo, n_dim))
+        for pi, name in enumerate(params):
+            for si, value in enumerate(steps[pi][:2]):
+                yb = np.sort(model.response_batch(x, **{name: value}))
+                counts[pi, si] += (hi - lo) - np.searchsorted(yb, y_grid, side="left")
+    df = (counts[:, 0] - counts[:, 1]).T / (n_samples * np.array([s[2] for s in steps]))
+    return y_grid, f_base, df
+
+
+class TestTwoPassReference:
+    """One pass over the input blocks gives the bits of two passes."""
+
+    @pytest.mark.parametrize("model, kwargs", [
+        # three blocks, the last one partial
+        (SdofResponse(), dict(n_samples=40_000, seed=3, grid_points=64)),
+        (PileResponse(), dict(params=("B",), rel_step=0.02, n_samples=5000, seed=4)),
+        (NormalResponse(), dict(n_samples=20_000, seed=5,
+                                y_grid=np.linspace(-2.0, 5.0, 57))),
+    ], ids=["sdof", "pile-B", "normal-grid"])
+    def test_bitwise_equal(self, model, kwargs):
+        res = crn_central_difference(model, **kwargs)
+        for got, ref in zip((res.y, res.f, res.df), two_pass_crn(model, **kwargs)):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.any(res.df != 0.0)
+
+
+@pytest.mark.parametrize("name", ["normal", "buckling", "sdof"])
+@pytest.mark.parametrize("points", [0, 1])
+def test_run_benchmark_rejects_short_grid(name, points):
+    with pytest.raises(ValueError, match=f"grid_points={points}"):
+        run_benchmark(build_model(name), None, 100, 0.01, 0, grid_points=points)

@@ -156,6 +156,14 @@ class TestCmdRepeat:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_short_grid_exit_2(self, tmp_path, capsys, points):
+        rc = main(["repeat", "--model", "normal", "--runs", "2", "--n", "100",
+                   "--grid-points", points, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"configuration error: grid_points={points}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_outputs(self, tmp_path):
         rc = main(["repeat", "--model", "normal", "--runs", "4", "--seed", "11",
                    "--n", "500", "--grid-points", "64", "--out", str(tmp_path / "out")])
@@ -231,6 +239,23 @@ class TestCmdBenchmark:
         assert rc == 2
         assert "configuration error: n_samples=0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["normal", "sdof"])
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_short_grid_exit_2(self, tmp_path, capsys, model, points):
+        rc = main(["benchmark", "--model", model, "--samples", "200",
+                   "--grid-points", points, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"configuration error: grid_points={points}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step", ["1", "2", "nan"])
+    def test_step_of_one_or_more_exit_2(self, tmp_path, capsys, step):
+        # a (1 - h) would reach zero or flip the sign of the damping ratio
+        rc = main(["benchmark", "--model", "sdof", "--samples", "200", "--step", step,
+                   "--grid-points", "8", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: rel_step=" in capsys.readouterr().err
+
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             rc = main(["benchmark", "--model", "sdof", "--samples", "1000",
@@ -293,6 +318,12 @@ class TestRepeatApi:
         assert agg.mean_ccdf(np.array([y10]))[0] == pytest.approx(0.1, rel=0.01)
         mean, std = agg.mean_measure("loc", np.array([y10]))
         assert np.isfinite(mean[0]) and std[0] > 0.0
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_short_grid_rejected(self, points):
+        cfg = SsConfig(m=2, p0=0.1, n_per_level=100, seed=1)
+        with pytest.raises(ValueError, match=f"grid_points={points}"):
+            repeat_runs(NormalResponse(), cfg, KernelSpec(), range(1, 3), grid_points=points)
 
     def test_thread_workers_match_serial(self, monkeypatch):
         m = NormalResponse()

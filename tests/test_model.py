@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gradsens.model import ModelDomainError, ModelSpec, ResponseModel, fd_gradient_batch
+from gradsens.model import (ModelDomainError, ModelSpec, ResponseModel, central_steps,
+                            fd_gradient_batch)
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
 from gradsens.subsim import _check_finite
@@ -73,6 +74,13 @@ def test_fd_unused_parameter_zero_and_zero_value_fallback():
 def test_fd_rejects_bad_step():
     with pytest.raises(ValueError):
         fd_gradient_batch(ShiftModel(), np.array([[0.0]]), 0.0)
+
+
+@pytest.mark.parametrize("rel_step", [0.0, -0.01, 1.0, 2.0, float("nan")])
+def test_central_steps_needs_step_inside_unit_interval(rel_step):
+    # h >= 1 would put a (1 - h) at or past zero: a damping ratio of -zeta
+    with pytest.raises(ValueError, match="needs 0 < rel_step < 1"):
+        central_steps(0.01, rel_step)
 
 
 def test_fd_matches_analytic_normal():

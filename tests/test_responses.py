@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,101 @@ class TestSdofResponse:
         g_fd = fd_gradient_batch(m, x[keep], h)
         rel = np.linalg.norm(g_fd - g, axis=1) / np.linalg.norm(g, axis=1)
         assert np.all(rel <= 1e-3)
+
+
+def row_states(m, x, zeta=None, omega=None, full=False):
+    """The sdof recursion on (batch, states) rows: the bitwise reference for
+    the (states, batch) columns of ``SdofResponse._states``."""
+    zeta = m.zeta if zeta is None else zeta
+    omega = m.omega if omega is None else omega
+    ad, bd = m._matrices(zeta, omega, full=full)
+    ad_t = ad.T
+    w = m.scale * x
+    state = np.zeros((x.shape[0], bd.shape[0]))
+    for j in range(m.n - 1):
+        state = state @ ad_t + w[:, j, None] * bd
+        yield state
+
+
+def row_response(m, x, **kw):
+    best = np.zeros(x.shape[0])
+    for state in row_states(m, x, **kw):
+        np.maximum(best, np.abs(state[:, 0]), out=best)
+    return best
+
+
+def row_simulate(m, x, **kw):
+    u = np.zeros((x.shape[0], m.n))
+    for j, state in enumerate(row_states(m, x, **kw), start=1):
+        u[:, j] = state[:, 0]
+    return u
+
+
+def row_evaluate(m, x):
+    traj = np.zeros((x.shape[0], m.n, 3))
+    for j, state in enumerate(row_states(m, x, full=True), start=1):
+        traj[:, j] = state[:, ::2]
+    u = traj[:, :, 0]
+    jstar = np.argmax(np.abs(u), axis=1)
+    rows = np.arange(x.shape[0])
+    upeak = u[rows, jstar]
+    chi = np.where(upeak < 0.0, -1.0, 1.0)
+    return np.abs(upeak), chi[:, None] * traj[rows, jstar, 1:]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+SDOF_OVERRIDES = ({}, {"zeta": 0.0101}, {"zeta": 0.0099},
+                  {"omega": 2.0 * math.pi * 1.01}, {"omega": 2.0 * math.pi * 0.99})
+
+
+class TestSdofRowReference:
+    """The column-layout recursion equals the row recursion bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return SdofResponse()
+
+    @staticmethod
+    def block(nb, zero=False):
+        return np.zeros((nb, 400)) if zero else RngStream(1000 + nb).standard_normal((nb, 400))
+
+    @pytest.mark.parametrize("nb", [1, 2, 3, 7, 50, 100, 1000, 8192, 16384])
+    def test_response_batch(self, model, nb):
+        x = self.block(nb)
+        for kw in SDOF_OVERRIDES:
+            assert same_bits(model.response_batch(x, **kw), row_response(model, x, **kw)), kw
+
+    @pytest.mark.parametrize("nb", [1, 2, 3, 7, 50, 100, 1000])
+    def test_simulate_and_evaluate(self, model, nb):
+        x = self.block(nb)
+        for kw in SDOF_OVERRIDES:
+            assert same_bits(model.simulate(x, **kw), row_simulate(model, x, **kw)), kw
+        y, g = model.evaluate_batch(x)
+        y_ref, g_ref = row_evaluate(model, x)
+        assert same_bits(y, y_ref)
+        assert same_bits(g, g_ref)
+
+    def test_all_zero_input(self, model):
+        x = self.block(7, zero=True)
+        assert same_bits(model.response_batch(x), row_response(model, x))
+        assert same_bits(model.simulate(x), row_simulate(model, x))
+        for got, ref in zip(model.evaluate_batch(x), row_evaluate(model, x)):
+            assert same_bits(got, ref)
+
+    def test_evaluate_memory_peak(self, model):
+        # the (n, 3, batch) trajectory and one (batch, n) |u| buffer: 12.4 MiB
+        # at 1000 x 400; an argmax over axis 0 of |u| would add a 3.2 MB copy
+        x = self.block(1000)
+        tracemalloc.start()
+        try:
+            model.evaluate_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
 
 def pile_oracle_at_mean(m):
