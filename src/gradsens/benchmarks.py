@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ResponseModel, central_steps
+from .model import ConfigError, ResponseModel, central_steps
 from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
+from .sensest import fractional_measure
 
 _CRN_BLOCK = 16384  # rows per input block; part of the deterministic layout
 
@@ -35,8 +36,7 @@ class BenchmarkResult:
     def fractional(self, values) -> np.ndarray:
         """(a / F) dF/da columns for the given parameter values."""
         v = np.asarray(values, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.f[:, None] > 0.0, self.df * v[None, :] / self.f[:, None], np.nan)
+        return fractional_measure(self.df * v[None, :], self.f)
 
 
 def analytic_normal(y_grid, loc=1.0, scale=1.0, mix=0.5) -> BenchmarkResult:
@@ -97,7 +97,7 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     down to the level 10 / n_samples, so at least 10 samples are needed then.
     """
     if n_samples < 1 or (y_grid is None and n_samples < 10):
-        raise ValueError(f"n_samples={n_samples}: needs 1, or 10 without a y_grid")
+        raise ConfigError(f"n_samples={n_samples}: needs 1, or 10 without a y_grid")
     params = tuple(params or model.spec.sensitivity_params)
     steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
@@ -157,7 +157,7 @@ def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
                   grid_points=256) -> BenchmarkResult:
     """Analytic references when the model has them, CRN differences otherwise."""
     if grid_points < 2:
-        raise ValueError(f"grid_points={grid_points}: needs at least 2")
+        raise ConfigError(f"grid_points={grid_points}: needs at least 2")
     if model.spec.name == "normal":
         grid = _analytic_grid(model, grid_points)
         return analytic_normal(grid, loc=model.loc, scale=model.scale, mix=model.mix)

@@ -1,14 +1,14 @@
 """Command-line orchestration: single runs, repeated-run statistics, and
 benchmark generation, all emitting CSV plot data plus a JSON manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 model error, 1 internal error.
+Exit codes: 0 success, 2 configuration error (``ConfigError``), 3 model error
+(model, numerical or degenerate-response failure), 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -20,10 +20,11 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import run_benchmark
-from .model import ModelDomainError, ResponseModel
+from .model import ConfigError, ModelDomainError, ResponseModel
 from .numkit import NumericalError
 from .responses import MODEL_BUILDERS, build_model
-from .sensest import KernelSpec, SensitivityCurve, normalize_curve, sensitivity_subsim
+from .sensest import (DegenerateResponseError, KernelSpec, SensitivityCurve, normalize_curve,
+                      sensitivity_subsim)
 from .subsim import SsConfig, run_subset_simulation
 
 
@@ -74,8 +75,7 @@ def _write_manifest(outdir: Path, command, model, params, **fields):
 @dataclass
 class RunResult:
     bins: object
-    ccdf: object
-    curve: object
+    curve: object  # normalized; its ccdf column is the run's CCDF on curve.y
     wall_time_s: float
 
 
@@ -85,7 +85,7 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
     bins, ccdf = run_subset_simulation(model, config)
     curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y)
     curve = normalize_curve(curve, ccdf, model.spec)
-    return RunResult(bins=bins, ccdf=ccdf, curve=curve, wall_time_s=time.perf_counter() - t0)
+    return RunResult(bins=bins, curve=curve, wall_time_s=time.perf_counter() - t0)
 
 
 def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
@@ -102,8 +102,8 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
     )
 
     yu = model.response_unit
-    curve, ccdf, bins = result.curve, result.ccdf, result.bins
-    _write_csv(outdir / "ccdf.csv", [f"y[{yu}]", "ccdf[-]"], [ccdf.y, ccdf.f])
+    curve, bins = result.curve, result.bins
+    _write_csv(outdir / "ccdf.csv", [f"y[{yu}]", "ccdf[-]"], [curve.y, curve.ccdf])
     ys = np.concatenate([b.y for b in bins.bins])
     which = np.concatenate([np.full(b.count, i) for i, b in enumerate(bins.bins)])
     for p in params:
@@ -179,16 +179,6 @@ class RepeatResult:
         vals = self.measure_runs(param, y, which)
         return np.nanmean(vals, axis=0), _nanstd_runs(vals)
 
-    def y_at_mean_ccdf(self, f_target: float) -> float:
-        """Threshold where the mean CCDF curve crosses f_target (log interp)."""
-        f = self.mean_ccdf(self.grid)
-        ok = np.isfinite(f) & (f > 0.0)
-        logf = np.log(f[ok])[::-1]
-        ygrid = self.grid[ok][::-1]
-        if not (logf[0] <= math.log(f_target) <= logf[-1]):
-            raise ValueError(f"target CCDF {f_target} outside the aggregated range")
-        return float(np.interp(math.log(f_target), logf, ygrid))
-
 
 def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,
                 grid_points: int = 200) -> RepeatResult:
@@ -200,11 +190,11 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
-        raise ValueError("need at least 2 runs")
+        raise ConfigError("need at least 2 runs")
     if len(set(seeds)) != len(seeds):
-        raise ValueError("run seeds must be distinct")
+        raise ConfigError("run seeds must be distinct")
     if grid_points < 2:
-        raise ValueError(f"grid_points={grid_points}: needs at least 2")
+        raise ConfigError(f"grid_points={grid_points}: needs at least 2")
     t0 = time.perf_counter()
 
     def one(seed):
@@ -212,7 +202,7 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         results = list(pool.map(one, seeds))
-    grid = np.unique(np.quantile(results[0].ccdf.y, np.linspace(0.0, 1.0, grid_points)))
+    grid = np.unique(np.quantile(results[0].curve.y, np.linspace(0.0, 1.0, grid_points)))
     return RepeatResult(grid=grid, runs=[_collapse(r) for r in results], seeds=seeds,
                         wall_time_s=time.perf_counter() - t0)
 
@@ -220,7 +210,10 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
 def thread_count() -> int:
     env = os.environ.get("GRADSENS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"GRADSENS_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -339,7 +332,7 @@ def _select_params(model, requested):
         return tuple(model.spec.sensitivity_params)
     bad = set(requested) - set(model.spec.sensitivity_params)
     if bad:
-        raise ValueError(f"unknown sensitivity parameters for {model.spec.name}: {sorted(bad)}")
+        raise ConfigError(f"unknown sensitivity parameters for {model.spec.name}: {sorted(bad)}")
     return tuple(p for p in model.spec.sensitivity_params if p in set(requested))
 
 
@@ -360,9 +353,13 @@ def cmd_repeat(args) -> int:
     params = _select_params(model, args.param)
     config = SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed)
     kernel = KernelSpec.parse(args.width)
-    seeds = args.seeds.split(",") if args.seeds else range(args.seed, args.seed + args.runs)
+    try:
+        seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
+                 else range(args.seed, args.seed + args.runs))
+    except ValueError:
+        raise ConfigError(f"--seeds {args.seeds!r}: needs comma-separated integers") from None
     if len(seeds) != args.runs:
-        raise ValueError("number of seeds must match the run count")
+        raise ConfigError("number of seeds must match the run count")
     agg = repeat_runs(model, config, kernel, seeds, grid_points=args.grid_points)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -388,10 +385,10 @@ def main(argv=None) -> int:
     handler = {"run": cmd_run, "repeat": cmd_repeat, "benchmark": cmd_benchmark}[args.command]
     try:
         return handler(args)
-    except (ModelDomainError, NumericalError) as exc:
+    except (ModelDomainError, NumericalError, DegenerateResponseError) as exc:
         print(f"gradsens: model error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"gradsens: configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected

@@ -17,6 +17,10 @@ class ModelDomainError(RuntimeError):
     """Model-specific domain failure (non-SPD correlation, non-physical state...)."""
 
 
+class ConfigError(ValueError):
+    """An argument the caller chose is invalid: the command line exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Identity of a response model: name, input dimension, parameter values.
@@ -91,7 +95,7 @@ def central_steps(value: float, rel_step: float):
     value is exactly zero falls back to the absolute step h * 1.0.
     """
     if not 0.0 < rel_step < 1.0:
-        raise ValueError(f"rel_step={rel_step}: needs 0 < rel_step < 1")
+        raise ConfigError(f"rel_step={rel_step}: needs 0 < rel_step < 1")
     if value != 0.0:
         return value * (1.0 + rel_step), value * (1.0 - rel_step), 2.0 * value * rel_step
     return rel_step, -rel_step, 2.0 * rel_step

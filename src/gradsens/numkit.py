@@ -15,6 +15,8 @@ import math
 import numpy as np
 from scipy import special
 
+from .model import ConfigError
+
 
 class NumericalError(ValueError):
     """A numerical routine failed on its input (not a usage error)."""
@@ -23,8 +25,8 @@ class NumericalError(ValueError):
 class NotPositiveDefiniteError(NumericalError):
     """Matrix expected to be SPD failed a Cholesky pivot.
 
-    ``pivot`` is the 0-based index of the failing pivot, or -1 when the
-    factorization was batched and the offending slice was not isolated.
+    ``pivot`` is the 0-based index of the failing pivot, or -1 when LAPACK's
+    factorization failed, which does not name it.
     """
 
     def __init__(self, pivot, message=None):
@@ -58,7 +60,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream: int = 0):
         if not 0 <= int(seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ConfigError(f"seed {seed} must lie in [0, 2**64)")
         if not 0 <= int(stream) < 2**64:
             raise ValueError("stream id must fit in 64 bits")
         self.seed = int(seed)
@@ -112,6 +114,8 @@ def cholesky_lower(r) -> np.ndarray:
     """Lower-triangular L with L L^T = r, for symmetric positive definite r.
 
     Column-by-column so that a non-positive pivot is reported with its index.
+    ``PileResponse`` factors its correlation matrix here; LAPACK's factor of
+    that matrix differs in the last bits, and so would every pile response.
     """
     a = _as_sym_array(r)
     if a.ndim != 2:
@@ -141,9 +145,7 @@ def smallest_gen_eigenpair(k, kg):
     try:
         L = np.linalg.cholesky(Kg)
     except np.linalg.LinAlgError:
-        if Kg.ndim == 2:
-            cholesky_lower(Kg)  # raises with the failing pivot index
-        raise NotPositiveDefiniteError(-1, "kg not positive definite")
+        raise NotPositiveDefiniteError(-1, "kg not positive definite") from None
     # C = L^-1 K L^-T, symmetrized against roundoff
     t = np.linalg.solve(L, K)
     C = np.linalg.solve(L, np.swapaxes(t, -1, -2))

@@ -136,13 +136,6 @@ class BucklingResponse(ResponseModel):
         k2 = self.k2 if k2 is None else k2
         return self._terms(x, load, k2).max(axis=1)
 
-    def critical_story(self, x, load=None, k2=None):
-        """0-based index of the story governing the buckling load."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        load = self.load if load is None else load
-        k2 = self.k2 if k2 is None else k2
-        return self._terms(x, load, k2).argmax(axis=1)
-
     def evaluate_batch(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         terms = self._terms(x, self.load, self.k2)
@@ -259,13 +252,6 @@ class SdofResponse(ResponseModel):
         for state in self._states(x, zeta, omega):
             np.maximum(best, np.abs(state[0]), out=best)
         return best
-
-    def simulate(self, x, zeta=None, omega=None):
-        """Displacement trajectories u(j dt), shape (batch, n)."""
-        u = np.zeros((np.atleast_2d(x).shape[0], self.n))
-        for j, state in enumerate(self._states(x, zeta, omega), start=1):
-            u[:, j] = state[0]
-        return u
 
     def evaluate_batch(self, x):
         nb = np.atleast_2d(x).shape[0]

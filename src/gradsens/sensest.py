@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ConfigError, ModelSpec
 from .subsim import Bin, BinPartition, CcdfCurve
 
 # Grid rows per kernel matrix.  Each chunk is reduced by one BLAS matmul, whose
@@ -56,9 +55,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.width_rule not in ("scott", "scott-global", "fixed"):
-            raise ValueError(f"unknown width rule {self.width_rule!r}")
+            raise ConfigError(f"unknown width rule {self.width_rule!r}")
         if self.width_rule == "fixed" and not (self.width and 0.0 < self.width < math.inf):
-            raise ValueError("fixed width rule needs a finite positive width")
+            raise ConfigError("fixed width rule needs a finite positive width")
 
     @classmethod
     def parse(cls, width: str) -> "KernelSpec":
@@ -66,8 +65,12 @@ class KernelSpec:
         if width in ("scott", "scott-global"):
             return cls(width_rule=width)
         if width.startswith("fixed:"):
-            return cls(width_rule="fixed", width=float(width.split(":", 1)[1]))
-        raise ValueError(f"width must be 'scott', 'scott-global' or 'fixed:<w>', got {width!r}")
+            try:
+                w = float(width.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"fixed width must be a number, got {width!r}") from None
+            return cls(width_rule="fixed", width=w)
+        raise ConfigError(f"width must be 'scott', 'scott-global' or 'fixed:<w>', got {width!r}")
 
 
 @dataclass
@@ -92,11 +95,15 @@ class SensitivityCurve:
 
 
 def scott_width(sigma_y: float, n_i: int) -> float:
-    """Scott's-rule kernel width sigma_Y * (4 / (3 N_i))^(1/5)."""
+    """Scott's-rule kernel width sigma_Y * (4 / (3 N_i))^(1/5).
+
+    A bin of one sample has no spread: that is a configuration error, checked
+    before the spread itself.
+    """
+    if n_i < 2:
+        raise ConfigError(f"a kernel width needs at least 2 samples per bin, got {n_i}")
     if not (np.isfinite(sigma_y) and sigma_y > 0.0):
         raise DegenerateResponseError(f"needs a positive response spread, got {sigma_y}")
-    if n_i < 2:
-        raise ValueError("need at least 2 samples")
     return sigma_y * (4.0 / (3.0 * n_i)) ** 0.2
 
 
@@ -197,7 +204,7 @@ def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),
         params = tuple(f"p{j}" for j in range(g.shape[1]))
     one_bin = BinPartition(
         thresholds=np.array([]),
-        bins=[Bin(y=y, g=g, probability=1.0, probability_exact=Fraction(1), count=y.shape[0])],
+        bins=[Bin(y=y, g=g, probability=1.0, count=y.shape[0])],
         param_names=tuple(params),
     )
     return sensitivity_subsim(one_bin, kernel, y_grid)
@@ -214,7 +221,11 @@ def normalize_curve(curve: SensitivityCurve, ccdf: CcdfCurve,
         raise ValueError("sensitivity and CCDF grids are not aligned")
     values = np.array([spec.value(p) for p in curve.params])
     scaled = curve.raw * values[None, :]
-    f = ccdf.f
+    return replace(curve, scaled=scaled, fractional=fractional_measure(scaled, ccdf.f),
+                   ccdf=ccdf.f.copy())
+
+
+def fractional_measure(scaled, f) -> np.ndarray:
+    """(a / F) dF/da from the a dF/da columns ``scaled``; NaN where F is not positive."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractional = np.where(f[:, None] > 0.0, scaled / f[:, None], np.nan)
-    return replace(curve, scaled=scaled, fractional=fractional, ccdf=f.copy())
+        return np.where(f[:, None] > 0.0, scaled / f[:, None], np.nan)

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelDomainError, ResponseModel
+from .model import ConfigError, ModelDomainError, ResponseModel
 from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
@@ -52,16 +51,18 @@ class SsConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("need at least one level")
+            raise ConfigError("need at least one level")
         if not 0.0 < self.p0 < 1.0:
-            raise ValueError("p0 must lie in (0, 1)")
+            raise ConfigError("p0 must lie in (0, 1)")
         nc = self.p0 * self.n_per_level
         if self.n_per_level < 2 or abs(nc - round(nc)) > 1e-9 or round(nc) < 1:
-            raise ValueError("p0 * n_per_level must be a positive integer")
+            raise ConfigError("p0 * n_per_level must be a positive integer")
         if self.n_per_level % round(nc):
-            raise ValueError("n_per_level must be a multiple of the seed count p0 * n_per_level")
+            raise ConfigError("n_per_level must be a multiple of the seed count p0 * n_per_level")
         if self.m > 1 and self.n_per_level // round(nc) < 2:
-            raise ValueError("chains need length 1/p0 >= 2, so p0 <= 0.5")
+            raise ConfigError("chains need length 1/p0 >= 2, so p0 <= 0.5")
+        if self.p0**self.m == 0.0:
+            raise ConfigError(f"p0^m underflows to 0 at m={self.m}: too many levels")
 
     @property
     def n_chains(self) -> int:
@@ -70,10 +71,6 @@ class SsConfig:
     @property
     def chain_len(self) -> int:
         return self.n_per_level // self.n_chains
-
-    @property
-    def p0_exact(self) -> Fraction:
-        return Fraction(self.n_chains, self.n_per_level)
 
     @property
     def model_evaluations(self) -> int:
@@ -88,7 +85,6 @@ class Bin:
     y: np.ndarray
     g: np.ndarray
     probability: float
-    probability_exact: Fraction
     count: int
 
 
@@ -97,10 +93,6 @@ class BinPartition:
     thresholds: np.ndarray  # b_1 < ... < b_{m-1}
     bins: list
     param_names: tuple
-
-    @property
-    def probability_sum_exact(self) -> Fraction:
-        return sum((b.probability_exact for b in self.bins), Fraction(0))
 
 
 @dataclass
@@ -194,8 +186,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
     thresholds = []
     bins = []
     levels_y = [y_lv]
-    p0f = config.p0
-    p0x = config.p0_exact
+    p0 = config.p0
 
     for level in range(1, m):
         order = np.lexsort((np.arange(N), -y_lv))
@@ -214,12 +205,11 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
         bins.append(Bin(
             y=y_lv[rest],
             g=g_lv[rest],
-            probability=p0f ** (level - 1) * (1.0 - p0f),
-            probability_exact=p0x ** (level - 1) * (1 - p0x),
+            probability=p0 ** (level - 1) * (1.0 - p0),
             count=N - nc,
         ))
 
-        a, s = correlation_param(level, p0f)
+        a, s = correlation_param(level, p0)
         streams = [root.split(_chain_stream(level, c)) for c in range(nc)]
         # chain states by step: row t * nc + c of the level is step t of chain c
         xs, ys, gs = (np.empty((clen, nc) + v.shape[1:], v.dtype) for v in (x_lv, y_lv, g_lv))
@@ -233,8 +223,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
     bins.append(Bin(
         y=y_lv,
         g=g_lv,
-        probability=p0f ** (m - 1),
-        probability_exact=p0x ** (m - 1),
+        probability=p0 ** (m - 1),
         count=N,
     ))
 
@@ -243,7 +232,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
         bins=bins,
         param_names=tuple(model.spec.sensitivity_params),
     )
-    return partition, _assemble_ccdf(levels_y, partition.thresholds, p0f)
+    return partition, _assemble_ccdf(levels_y, partition.thresholds, p0)
 
 
 def _assemble_ccdf(levels_y, thresholds, p0) -> CcdfCurve:

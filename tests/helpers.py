@@ -1,0 +1,34 @@
+"""Probes that only tests need, built on the package's own code paths."""
+
+import math
+
+import numpy as np
+
+
+def simulate(model, x, zeta=None, omega=None):
+    """Displacement trajectories u(j dt) of an ``SdofResponse``, shape (batch, n),
+    recorded from the recursion that ``response_batch`` runs."""
+    u = np.zeros((np.atleast_2d(x).shape[0], model.n))
+    for j, state in enumerate(model._states(x, zeta, omega), start=1):
+        u[:, j] = state[0]
+    return u
+
+
+def critical_story(model, x, load=None, k2=None):
+    """0-based index of the story governing a ``BucklingResponse`` buckling load."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    load = model.load if load is None else load
+    k2 = model.k2 if k2 is None else k2
+    return model._terms(x, load, k2).argmax(axis=1)
+
+
+def y_at_mean_ccdf(agg, f_target: float) -> float:
+    """Threshold where the mean CCDF of a ``RepeatResult`` crosses f_target,
+    interpolated in log F over its grid."""
+    f = agg.mean_ccdf(agg.grid)
+    ok = np.isfinite(f) & (f > 0.0)
+    logf = np.log(f[ok])[::-1]
+    ygrid = agg.grid[ok][::-1]
+    if not (logf[0] <= math.log(f_target) <= logf[-1]):
+        raise ValueError(f"target CCDF {f_target} outside the aggregated range")
+    return float(np.interp(math.log(f_target), logf, ygrid))

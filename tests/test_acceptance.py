@@ -21,6 +21,8 @@ from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse,
 from gradsens.sensest import KernelSpec, sensitivity_direct_mc
 from gradsens.subsim import SsConfig
 
+from helpers import critical_story, simulate, y_at_mean_ccdf
+
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 RUNS = 200
 
@@ -75,7 +77,7 @@ def test_criterion_1_normal_fractional_sensitivities(normal_agg):
         (1e-3, (("loc", 3.0, 0.20), ("scale", 10.0, 0.20))),
         (1e-2, (("loc", 2.665, 0.10), ("scale", 6.200, 0.10))),
     ]:
-        ystar = agg.y_at_mean_ccdf(f_target)
+        ystar = y_at_mean_ccdf(agg, f_target)
         for param, center, rel in probes:
             mean, _ = agg.mean_measure(param, ystar)
             ok = within(mean[0], center, rel)
@@ -145,8 +147,8 @@ def test_criterion_4_buckling_equivalences(buckling_agg):
     # augmented-system derivative vs finite differences of the eigen path
     xs = x[:100]
     h = 1e-6
-    keep = (model.critical_story(xs, k2=model.k2 * (1 + h))
-            == model.critical_story(xs, k2=model.k2 * (1 - h)))
+    keep = (critical_story(model, xs, k2=model.k2 * (1 + h))
+            == critical_story(model, xs, k2=model.k2 * (1 - h)))
     fd = np.empty((keep.sum(), 2))
     for row, xi in enumerate(xs[keep]):
         w = model._loads(xi[None, :], model.load)[0]
@@ -179,7 +181,7 @@ def test_criterion_4_buckling_equivalences(buckling_agg):
     # 200-run mean fractional sensitivities vs the analytic references
     sens_ok = True
     for f_target in (1e-3, 1e-2, 1e-1):
-        ystar = agg.y_at_mean_ccdf(f_target)
+        ystar = y_at_mean_ccdf(agg, f_target)
         ref = analytic_buckling(np.array([ystar]), load=model.load, k2=model.k2,
                                 stiffness=model.k[0], height=model.height,
                                 stories=model.stories, load_cov=model.load_cov,
@@ -200,8 +202,8 @@ def test_criterion_5_sdof_gradient_consistency():
     h = 1e-4
     keep = np.ones(100, dtype=bool)
     for name, v in (("zeta", model.zeta), ("omega", model.omega)):
-        up = np.argmax(np.abs(model.simulate(x, **{name: v * (1 + h)})), axis=1)
-        dn = np.argmax(np.abs(model.simulate(x, **{name: v * (1 - h)})), axis=1)
+        up = np.argmax(np.abs(simulate(model, x, **{name: v * (1 + h)})), axis=1)
+        dn = np.argmax(np.abs(simulate(model, x, **{name: v * (1 - h)})), axis=1)
         keep &= up == dn
     skipped = 1.0 - keep.mean()
     _, g = model.evaluate_batch(x[keep])
@@ -211,8 +213,8 @@ def test_criterion_5_sdof_gradient_consistency():
 
     x1 = RngStream(7001).standard_normal((5, 400))
     x2 = RngStream(7002).standard_normal((5, 400))
-    u_sum = model.simulate(x1 + x2)
-    resid = np.max(np.abs(u_sum - model.simulate(x1) - model.simulate(x2)))
+    u_sum = simulate(model, x1 + x2)
+    resid = np.max(np.abs(u_sum - simulate(model, x1) - simulate(model, x2)))
     lin_ok = resid <= 1e-12 * np.max(np.abs(u_sum))
 
     ok = grad_ok and lin_ok
@@ -237,7 +239,7 @@ def test_criterion_6_sdof_sensitivity_sanity(sdof_agg, sdof_bench):
     frac_ref = bench.fractional([model.zeta, model.omega])
     bench_ok = True
     for f_target in (1e-1, 10 ** -1.5, 1e-2):
-        ystar = agg.y_at_mean_ccdf(f_target)
+        ystar = y_at_mean_ccdf(agg, f_target)
         mean, _ = agg.mean_measure("zeta", ystar)
         ref = float(np.interp(ystar, bench.y, frac_ref[:, 0]))
         if not within(mean[0], ref, 0.30):

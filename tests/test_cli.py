@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from gradsens.cli import _write_csv, main, read_csv, repeat_runs, single_run
+from gradsens.model import ResponseModel
 from gradsens.responses import NormalResponse, PileResponse
 from gradsens.sensest import KernelSpec
 from gradsens.subsim import SsConfig
+
+from helpers import y_at_mean_ccdf
 
 
 def manifest_without_walltime(path):
@@ -129,6 +132,57 @@ class TestCmdRun:
         assert rc == 2
         assert "finite positive width" in capsys.readouterr().err
 
+    def test_one_sample_bin_exit_2(self, tmp_path, capsys):
+        # p0 N = 1 seed out of N = 2 leaves one sample in bin 0: no kernel width
+        rc = main(["run", "--model", "normal", "--m", "2", "--p0", "0.5", "--n", "2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: a kernel width needs at least 2" in capsys.readouterr().err
+
+    def test_constant_response_exit_3(self, tmp_path, capsys, monkeypatch):
+        import gradsens.cli as climod
+
+        class ConstantNormal(NormalResponse):
+            def evaluate_batch(self, x):
+                y, g = super().evaluate_batch(x)
+                return np.full_like(y, 1.0), g
+
+        monkeypatch.setattr(climod, "build_model", lambda name: ConstantNormal())
+        rc = main(["run", "--model", "normal", "--m", "1", "--n", "200",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "model error: needs a positive response spread" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", [lambda: np.ones(3).reshape(2, 2), lambda: {}["x"]],
+                             ids=["numpy-value-error", "key-error"])
+    def test_fault_inside_model_exit_1(self, tmp_path, capsys, monkeypatch, fault):
+        # a ValueError or KeyError that no argument check raised is a fault, not bad input
+        import gradsens.cli as climod
+
+        class Faulty(NormalResponse):
+            def evaluate_batch(self, x):
+                return ResponseModel.evaluate_batch(self, x)
+
+            def response_batch(self, x, **overrides):
+                return fault()
+
+        monkeypatch.setattr(climod, "build_model", lambda name: Faulty())
+        rc = main(["run", "--model", "normal", "--n", "200", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "normal", "--seed", "-1"],
+        ["run", "--model", "normal", "--width", "fixed:abc"],
+        ["run", "--model", "normal", "--m", "330", "--p0", "0.1"],
+        ["repeat", "--model", "normal", "--runs", "2", "--seeds", "1,x"],
+    ], ids=["negative-seed", "fixed-width-not-a-number", "level-probability-underflow",
+            "seeds-not-integers"])
+    def test_bad_argument_exit_2(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--n", "100", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_fixed_width_flag(self, tmp_path):
         rc = main(["run", "--model", "normal", "--width", "fixed:0.2",
                    "--out", str(tmp_path / "out")])
@@ -150,6 +204,13 @@ class TestCmdRepeat:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "match the run count" in capsys.readouterr().err
+
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GRADSENS_THREADS", "abc")
+        rc = main(["repeat", "--model", "normal", "--runs", "2", "--n", "100",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: GRADSENS_THREADS" in capsys.readouterr().err
 
     def test_single_run_rejected(self, tmp_path):
         rc = main(["repeat", "--model", "normal", "--runs", "1",
@@ -270,10 +331,10 @@ class TestCsvRoundTrip:
         res = single_run(m, SsConfig(m=2, p0=0.1, n_per_level=200, seed=1), KernelSpec())
         from gradsens.cli import _write_csv
         path = tmp_path / "t.csv"
-        _write_csv(path, ["y[-]", "f[-]"], [res.ccdf.y, res.ccdf.f])
+        _write_csv(path, ["y[-]", "f[-]"], [res.curve.y, res.curve.ccdf])
         back = read_csv(path)
-        assert np.array_equal(back["y[-]"], res.ccdf.y)
-        assert np.array_equal(back["f[-]"], res.ccdf.f)
+        assert np.array_equal(back["y[-]"], res.curve.y)
+        assert np.array_equal(back["f[-]"], res.curve.ccdf)
 
 
 def format_loop_csv(header, columns):
@@ -312,7 +373,7 @@ class TestRepeatApi:
         m = NormalResponse()
         cfg = SsConfig(m=2, p0=0.1, n_per_level=500, seed=40)
         agg = repeat_runs(m, cfg, KernelSpec(), range(40, 48))
-        y10 = agg.y_at_mean_ccdf(0.1)
+        y10 = y_at_mean_ccdf(agg, 0.1)
         # inversion runs on the grid-sampled mean curve: off-node both readings
         # agree only to interpolation error
         assert agg.mean_ccdf(np.array([y10]))[0] == pytest.approx(0.1, rel=0.01)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from gradsens.model import (ModelDomainError, ModelSpec, ResponseModel, central_steps,
-                            fd_gradient_batch)
+from gradsens.benchmarks import crn_central_difference, run_benchmark
+from gradsens.cli import _select_params, repeat_runs
+from gradsens.model import (ConfigError, ModelDomainError, ModelSpec, ResponseModel,
+                            central_steps, fd_gradient_batch)
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
-from gradsens.subsim import _check_finite
+from gradsens.sensest import KernelSpec, scott_width
+from gradsens.subsim import SsConfig, _check_finite
 
 
 class QuadraticModel(ResponseModel):
@@ -98,6 +101,27 @@ def test_sample_record_rejects_nonfinite():
     with pytest.raises(ModelDomainError):
         _check_finite(0, 1, 1, np.zeros(1), np.array([[float("inf")]]))
     _check_finite(0, 1, 1, np.zeros(1), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: SsConfig(m=0),
+    lambda: SsConfig(p0=0.3),
+    lambda: SsConfig(m=330, p0=0.1),
+    lambda: KernelSpec("silverman"),
+    lambda: KernelSpec.parse("fixed:abc"),
+    lambda: KernelSpec.parse("fixed:0"),
+    lambda: central_steps(1.0, 0.0),
+    lambda: RngStream(-1),
+    lambda: scott_width(1.0, 1),
+    lambda: crn_central_difference(NormalResponse(), n_samples=0),
+    lambda: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, 0, grid_points=1),
+    lambda: repeat_runs(NormalResponse(), SsConfig(), KernelSpec(), [1]),
+    lambda: _select_params(NormalResponse(), ["bogus"]),
+], ids=["levels", "p0", "p0-to-the-m", "width-rule", "width-number", "width-zero", "fd-step", "seed",
+        "one-sample-bin", "crn-samples", "grid-points", "one-run", "param"])
+def test_argument_checks_raise_config_error(check):
+    with pytest.raises(ConfigError):
+        check()
 
 
 def test_model_spec_validation():

@@ -6,7 +6,6 @@ Examples are derandomized, so the suite draws the same cases on every run.
 """
 
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -47,7 +46,10 @@ def with_gradients(bins, fn):
 @given(configs())
 def test_bin_probabilities_sum_to_one(config):
     bins, _ = run_subset_simulation(MODEL, config)
-    assert bins.probability_sum_exact == Fraction(1)
+    p0, m = config.p0, config.m
+    assert [b.probability for b in bins.bins] == (
+        [p0**i * (1.0 - p0) for i in range(m - 1)] + [p0 ** (m - 1)])
+    assert abs(sum(b.probability for b in bins.bins) - 1.0) <= 4 * np.finfo(float).eps
     assert sum(b.count for b in bins.bins) == config.n_per_level * config.m - (
         config.n_chains * (config.m - 1))
 

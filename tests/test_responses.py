@@ -9,6 +9,8 @@ from gradsens.numkit import RepeatedEigenvalueError, RngStream, smallest_gen_eig
 from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse,
                                 SdofResponse, build_model, lognormal_shift)
 
+from helpers import critical_story, simulate
+
 
 class TestNormalResponse:
     def test_point_values(self):
@@ -63,7 +65,7 @@ class TestBucklingResponse:
         m = BucklingResponse()
         x = RngStream(83).standard_normal((300, 5))
         y, g = m.evaluate_batch(x)
-        star = m.critical_story(x)
+        star = critical_story(m, x)
         # common load mean scales the response linearly
         assert np.allclose(g[:, 0], y / m.load, rtol=1e-8)
         # second-story stiffness only matters when story 2 is critical
@@ -73,7 +75,7 @@ class TestBucklingResponse:
     def test_zero_gradient_fraction_near_80_percent(self):
         m = BucklingResponse()
         x = RngStream(84).standard_normal((20000, 5))
-        frac = np.mean(m.critical_story(x) != 1)
+        frac = np.mean(critical_story(m, x) != 1)
         assert frac == pytest.approx(0.8, abs=0.012)  # ~4 binomial sigma
 
     def test_fd_matches_analytic_gradients(self):
@@ -81,8 +83,8 @@ class TestBucklingResponse:
         rng = RngStream(85)
         x = rng.standard_normal((100, 5))
         # skip draws whose critical story flips inside the FD stencil
-        keep = (m.critical_story(x, k2=m.k2 * (1 + 1e-5))
-                == m.critical_story(x, k2=m.k2 * (1 - 1e-5)))
+        keep = (critical_story(m, x, k2=m.k2 * (1 + 1e-5))
+                == critical_story(m, x, k2=m.k2 * (1 - 1e-5)))
         assert keep.mean() > 0.9
         _, g = m.evaluate_batch(x[keep])
         g_fd = fd_gradient_batch(m, x[keep], 1e-5)
@@ -128,7 +130,7 @@ class TestSdofResponse:
         m = SdofResponse()
         x = np.zeros((1, 400))
         x[0, 0] = 1.0
-        u = m.simulate(x)[0]
+        u = simulate(m, x)[0]
         ref = sdof_pulse_oracle(m, m.scale)
         assert np.max(np.abs(u - ref)) < 1e-6 * np.max(np.abs(ref))
 
@@ -137,9 +139,9 @@ class TestSdofResponse:
         rng = RngStream(86)
         x1 = rng.standard_normal((3, 400))
         x2 = rng.standard_normal((3, 400))
-        u = m.simulate(x1 + x2)
+        u = simulate(m, x1 + x2)
         scale = np.max(np.abs(u))
-        assert np.allclose(u, m.simulate(x1) + m.simulate(x2), atol=1e-12 * scale)
+        assert np.allclose(u, simulate(m, x1) + simulate(m, x2), atol=1e-12 * scale)
 
     def test_last_input_has_no_effect(self):
         # y runs over u(j dt), j < n, so the final white-noise ordinate is idle
@@ -155,7 +157,7 @@ class TestSdofResponse:
         x = RngStream(90).standard_normal((5, 400))
         for kw in ({}, {"zeta": 0.02}, {"omega": 6.0}):
             y = m.response_batch(x, **kw)
-            assert np.array_equal(y, np.abs(m.simulate(x, **kw)).max(axis=1))
+            assert np.array_equal(y, np.abs(simulate(m, x, **kw)).max(axis=1))
 
     def test_gradient_paths_consistent(self):
         # y from the 6-state gradient pass equals the 2-state response pass
@@ -171,8 +173,8 @@ class TestSdofResponse:
         h = 1e-5
         keep = np.ones(100, dtype=bool)
         for name, v in (("zeta", m.zeta), ("omega", m.omega)):
-            up = np.argmax(np.abs(m.simulate(x, **{name: v * (1 + h)})), axis=1)
-            dn = np.argmax(np.abs(m.simulate(x, **{name: v * (1 - h)})), axis=1)
+            up = np.argmax(np.abs(simulate(m, x, **{name: v * (1 + h)})), axis=1)
+            dn = np.argmax(np.abs(simulate(m, x, **{name: v * (1 - h)})), axis=1)
             keep &= up == dn
         assert keep.mean() > 0.9
         y, g = m.evaluate_batch(x[keep])
@@ -250,7 +252,7 @@ class TestSdofRowReference:
     def test_simulate_and_evaluate(self, model, nb):
         x = self.block(nb)
         for kw in SDOF_OVERRIDES:
-            assert same_bits(model.simulate(x, **kw), row_simulate(model, x, **kw)), kw
+            assert same_bits(simulate(model, x, **kw), row_simulate(model, x, **kw)), kw
         y, g = model.evaluate_batch(x)
         y_ref, g_ref = row_evaluate(model, x)
         assert same_bits(y, y_ref)
@@ -259,7 +261,7 @@ class TestSdofRowReference:
     def test_all_zero_input(self, model):
         x = self.block(7, zero=True)
         assert same_bits(model.response_batch(x), row_response(model, x))
-        assert same_bits(model.simulate(x), row_simulate(model, x))
+        assert same_bits(simulate(model, x), row_simulate(model, x))
         for got, ref in zip(model.evaluate_batch(x), row_evaluate(model, x)):
             assert same_bits(got, ref)
 

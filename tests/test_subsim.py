@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,8 +263,8 @@ class TestRunSubsetSimulation:
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(**DEFAULT, seed=11))
         assert [b.count for b in bins.bins] == [900, 900, 1000]
-        assert bins.probability_sum_exact == Fraction(1)
-        assert [b.probability for b in bins.bins] == pytest.approx([0.9, 0.09, 0.01], rel=1e-15)
+        assert [b.probability for b in bins.bins] == [0.9, 0.1 * 0.9, 0.1**2]
+        assert abs(sum(b.probability for b in bins.bins) - 1.0) <= 4 * np.finfo(float).eps
         assert ccdf.y.shape == (3000,)
         assert np.all(np.diff(ccdf.f[np.argsort(ccdf.y, kind="stable")]) <= 0.0 + 1e-18)
         assert np.all((ccdf.f > 0.0) & (ccdf.f <= 1.0))
