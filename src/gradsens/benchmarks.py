@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ConfigError, ResponseModel, central_steps
+from .model import ConfigError, ResponseModel, _check_finite, central_steps
 from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
 from .sensest import fractional_measure
@@ -29,9 +29,6 @@ class BenchmarkResult:
     provenance: str  # "analytic" or "crn_fd"
     n_samples: int | None = None
     fd_step: float | None = None
-
-    def column(self, param: str) -> np.ndarray:
-        return self.df[:, self.params.index(param)]
 
     def fractional(self, values) -> np.ndarray:
         """(a / F) dF/da columns for the given parameter values."""
@@ -102,17 +99,19 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
 
-    # one pass over the input blocks: base and perturbed responses on each draw
+    # one pass over the input blocks: the base response, then each parameter
+    # moved up and down, on each draw
+    overrides = [{}] + [{name: v} for name, s in zip(params, steps) for v in s[:2]]
+    out = np.empty((len(overrides), n_samples))
     stream = RngStream(seed)
-    base = np.empty(n_samples)
-    moved = np.empty((len(params), 2, n_samples))
     for lo in range(0, n_samples, _CRN_BLOCK):
         hi = min(lo + _CRN_BLOCK, n_samples)
         x = stream.standard_normal((hi - lo, n_dim))
-        base[lo:hi] = model.response_batch(x)
-        for pi, name in enumerate(params):
-            for si, value in enumerate(steps[pi][:2]):
-                moved[pi, si, lo:hi] = model.response_batch(x, **{name: value})
+        for k, kw in enumerate(overrides):
+            y = model.response_batch(x, **kw)
+            _check_finite(f"in CRN rows {lo}-{hi} with overrides {kw}", hi - lo, len(params), y)
+            out[k, lo:hi] = y
+    base, moved = out[0], out[1:].reshape(len(params), 2, n_samples)
     base.sort()
     if y_grid is None:
         levels = np.logspace(math.log10(0.999), math.log10(max(10.0 / n_samples, 1e-6)),

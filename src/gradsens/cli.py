@@ -54,8 +54,11 @@ def read_csv(path) -> dict:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def _write_manifest(outdir: Path, command, model, params, **fields):
-    """manifest.json: the command and model identity, then ``fields`` in order."""
+def _write_outputs(outdir: Path, command, model, params, files, **fields):
+    """Create ``outdir`` and write manifest.json (the command and model identity,
+    ``fields`` in order, then the file list), then each CSV of ``files``, a
+    name -> (header, columns) dict in output order."""
+    outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "version": __version__,
@@ -64,8 +67,11 @@ def _write_manifest(outdir: Path, command, model, params, **fields):
         "params": {n: v for n, v in model.spec.params},
         "sensitivity_params": list(params),
         **fields,
+        "outputs": list(files),
     }
     _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=1) + "\n")
+    for name, (header, columns) in files.items():
+        _write_csv(outdir / name, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -89,36 +95,30 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
 
 
 def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
-    _write_manifest(
-        outdir, "run", model, params,
-        config={"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
-                "seed": config.seed, "correlation_rule": "quantile-ratio"},
-        kernel={"kind": "gaussian", "width_rule": kernel.width_rule,
-                "width": kernel.width, "bin_widths": list(result.curve.widths)},
-        model_evaluations=config.model_evaluations,
-        wall_time_s=result.wall_time_s,
-        outputs=["ccdf.csv"] + [f"sensitivity_{p}.csv" for p in params]
-        + [f"scatter_{p}.csv" for p in params],
-    )
-
     yu = model.response_unit
     curve, bins = result.curve, result.bins
-    _write_csv(outdir / "ccdf.csv", [f"y[{yu}]", "ccdf[-]"], [curve.y, curve.ccdf])
+    files = {"ccdf.csv": ([f"y[{yu}]", "ccdf[-]"], [curve.y, curve.ccdf])}
+    for p in params:
+        files[f"sensitivity_{p}.csv"] = (
+            [f"y[{yu}]", "ccdf[-]", f"dF_d{p}[{_unit_inv(model.param_unit(p))}]",
+             f"{p}_dF_d{p}[-]", f"frac_dF_d{p}[-]"],
+            [curve.y, curve.ccdf, curve.column(p), curve.column(p, "scaled"),
+             curve.column(p, "fractional")])
     ys = np.concatenate([b.y for b in bins.bins])
     which = np.concatenate([np.full(b.count, i) for i, b in enumerate(bins.bins)])
     for p in params:
-        pu = model.param_unit(p)
-        _write_csv(
-            outdir / f"sensitivity_{p}.csv",
-            [f"y[{yu}]", "ccdf[-]", f"dF_d{p}[{_unit_inv(pu)}]", f"{p}_dF_d{p}[-]",
-             f"frac_dF_d{p}[-]"],
-            [curve.y, curve.ccdf, curve.column(p), curve.column(p, "scaled"),
-             curve.column(p, "fractional")],
-        )
         gs = np.concatenate([b.g[:, curve.params.index(p)] for b in bins.bins])
-        _write_csv(outdir / f"scatter_{p}.csv",
-                   [f"y[{yu}]", f"{p}_times_gradient[{yu}]", "bin[-]"],
-                   [ys, model.spec.value(p) * gs, which])
+        files[f"scatter_{p}.csv"] = ([f"y[{yu}]", f"{p}_times_gradient[{yu}]", "bin[-]"],
+                                     [ys, model.spec.value(p) * gs, which])
+    _write_outputs(
+        outdir, "run", model, params, files,
+        config={"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
+                "seed": config.seed, "correlation_rule": "quantile-ratio"},
+        kernel={"kind": "gaussian", "width_rule": kernel.width_rule,
+                "width": kernel.width, "bin_widths": list(curve.widths)},
+        model_evaluations=config.model_evaluations,
+        wall_time_s=result.wall_time_s,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +129,7 @@ def _collapse(result: RunResult) -> SensitivityCurve:
     """The run's curve cut down to its unique thresholds, ready for interpolation."""
     c = result.curve
     y, idx = np.unique(c.y, return_index=True)
-    return replace(c, y=y, raw=c.raw[idx], scaled=c.scaled[idx],
-                   fractional=c.fractional[idx], ccdf=c.ccdf[idx])
+    return replace(c, y=y, raw=c.raw[idx], ccdf=c.ccdf[idx])
 
 
 def _nanstd_runs(vals):
@@ -219,9 +218,29 @@ def thread_count() -> int:
 
 def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult,
                           params, grid_points):
+    yu = model.response_unit
+    g = agg.grid
+    fvals = agg.ccdf_runs(g)
+    fm = np.nanmean(fvals, axis=0)
+    fs = _nanstd_runs(fvals)
+    files = {"repeat_ccdf.csv": (
+        [f"y[{yu}]", "ccdf_mean[-]", "ccdf_std[-]", "ccdf_lo[-]", "ccdf_hi[-]"],
+        [g, fm, fs, fm - fs, fm + fs])}
+    for p in params:
+        pu = _unit_inv(model.param_unit(p))
+        frac_m, frac_s = agg.mean_measure(p, g, "fractional")
+        sc_m, sc_s = agg.mean_measure(p, g, "scaled")
+        raw_m, raw_s = agg.mean_measure(p, g, "raw")
+        files[f"repeat_sensitivity_{p}.csv"] = (
+            [f"y[{yu}]", "ccdf_mean[-]",
+             f"frac_d{p}_mean[-]", f"frac_d{p}_std[-]", f"frac_d{p}_lo[-]", f"frac_d{p}_hi[-]",
+             f"scaled_d{p}_mean[-]", f"scaled_d{p}_std[-]",
+             f"raw_d{p}_mean[{pu}]", f"raw_d{p}_std[{pu}]"],
+            [g, fm, frac_m, frac_s, frac_m - frac_s, frac_m + frac_s,
+             sc_m, sc_s, raw_m, raw_s])
     runs = len(agg.seeds)
-    _write_manifest(
-        outdir, "repeat", model, params,
+    _write_outputs(
+        outdir, "repeat", model, params, files,
         config={"m": config.m, "p0": config.p0, "n_per_level": config.n_per_level,
                 "correlation_rule": "quantile-ratio"},
         kernel={"kind": "gaussian", "width_rule": kernel.width_rule, "width": kernel.width},
@@ -231,31 +250,7 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
         grid_points=grid_points,
         model_evaluations=runs * config.model_evaluations,
         wall_time_s=agg.wall_time_s,
-        outputs=["repeat_ccdf.csv"] + [f"repeat_sensitivity_{p}.csv" for p in params],
     )
-
-    yu = model.response_unit
-    g = agg.grid
-    fvals = agg.ccdf_runs(g)
-    fm = np.nanmean(fvals, axis=0)
-    fs = _nanstd_runs(fvals)
-    _write_csv(outdir / "repeat_ccdf.csv",
-               [f"y[{yu}]", "ccdf_mean[-]", "ccdf_std[-]", "ccdf_lo[-]", "ccdf_hi[-]"],
-               [g, fm, fs, fm - fs, fm + fs])
-    for p in params:
-        pu = model.param_unit(p)
-        frac_m, frac_s = agg.mean_measure(p, g, "fractional")
-        sc_m, sc_s = agg.mean_measure(p, g, "scaled")
-        raw_m, raw_s = agg.mean_measure(p, g, "raw")
-        _write_csv(
-            outdir / f"repeat_sensitivity_{p}.csv",
-            [f"y[{yu}]", "ccdf_mean[-]",
-             f"frac_d{p}_mean[-]", f"frac_d{p}_std[-]", f"frac_d{p}_lo[-]", f"frac_d{p}_hi[-]",
-             f"scaled_d{p}_mean[-]", f"scaled_d{p}_std[-]",
-             f"raw_d{p}_mean[{_unit_inv(pu)}]", f"raw_d{p}_std[{_unit_inv(pu)}]"],
-            [g, fm, frac_m, frac_s, frac_m - frac_s, frac_m + frac_s,
-             sc_m, sc_s, raw_m, raw_s],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +258,23 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
 
 
 def _write_benchmark_outputs(outdir: Path, model, res, params, seed, wall):
-    _write_manifest(
-        outdir, "benchmark", model, params,
+    yu = model.response_unit
+    frac = res.fractional([model.spec.value(p) for p in res.params])
+    files = {}
+    for p in params:
+        j = res.params.index(p)
+        files[f"benchmark_{p}.csv"] = (
+            [f"y[{yu}]", "ccdf_ref[-]", f"dF_d{p}_ref[{_unit_inv(model.param_unit(p))}]",
+             f"frac_d{p}_ref[-]"],
+            [res.y, res.f, res.df[:, j], frac[:, j]])
+    _write_outputs(
+        outdir, "benchmark", model, params, files,
         provenance=res.provenance,
         n_samples=res.n_samples,
         fd_step=res.fd_step,
         seed=seed if res.provenance == "crn_fd" else None,
         wall_time_s=wall,
-        outputs=[f"benchmark_{p}.csv" for p in params],
     )
-    yu = model.response_unit
-    values = {n: v for n, v in model.spec.params}
-    frac = res.fractional([values[p] for p in res.params])
-    for p in params:
-        pu = model.param_unit(p)
-        j = res.params.index(p)
-        _write_csv(
-            outdir / f"benchmark_{p}.csv",
-            [f"y[{yu}]", "ccdf_ref[-]", f"dF_d{p}_ref[{_unit_inv(pu)}]", f"frac_d{p}_ref[-]"],
-            [res.y, res.f, res.df[:, j], frac[:, j]],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +328,21 @@ def _select_params(model, requested):
     return tuple(p for p in model.spec.sensitivity_params if p in set(requested))
 
 
-def cmd_run(args) -> int:
-    model = build_model(args.model)
-    params = _select_params(model, args.param)
-    config = SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed)
-    kernel = KernelSpec.parse(args.width)
+def _ss_inputs(args):
+    """The run configuration and kernel that ``run`` and ``repeat`` share."""
+    return (SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed),
+            KernelSpec.parse(args.width))
+
+
+def cmd_run(args, model, params) -> int:
+    config, kernel = _ss_inputs(args)
     result = single_run(model, config, kernel)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_run_outputs(outdir, model, config, kernel, result, params)
+    _write_run_outputs(Path(args.out), model, config, kernel, result, params)
     return 0
 
 
-def cmd_repeat(args) -> int:
-    model = build_model(args.model)
-    params = _select_params(model, args.param)
-    config = SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed)
-    kernel = KernelSpec.parse(args.width)
+def cmd_repeat(args, model, params) -> int:
+    config, kernel = _ss_inputs(args)
     try:
         seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
                  else range(args.seed, args.seed + args.runs))
@@ -361,21 +351,15 @@ def cmd_repeat(args) -> int:
     if len(seeds) != args.runs:
         raise ConfigError("number of seeds must match the run count")
     agg = repeat_runs(model, config, kernel, seeds, grid_points=args.grid_points)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_repeat_outputs(outdir, model, config, kernel, agg, params, args.grid_points)
+    _write_repeat_outputs(Path(args.out), model, config, kernel, agg, params, args.grid_points)
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    model = build_model(args.model)
-    params = _select_params(model, args.param)
+def cmd_benchmark(args, model, params) -> int:
     t0 = time.perf_counter()
     res = run_benchmark(model, params, args.samples, args.step, args.seed,
                         grid_points=args.grid_points)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_benchmark_outputs(outdir, model, res, params, args.seed,
+    _write_benchmark_outputs(Path(args.out), model, res, params, args.seed,
                              time.perf_counter() - t0)
     return 0
 
@@ -384,7 +368,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"run": cmd_run, "repeat": cmd_repeat, "benchmark": cmd_benchmark}[args.command]
     try:
-        return handler(args)
+        model = build_model(args.model)
+        return handler(args, model, _select_params(model, args.param))
     except (ModelDomainError, NumericalError, DegenerateResponseError) as exc:
         print(f"gradsens: model error: {exc}", file=sys.stderr)
         return 3

@@ -88,6 +88,23 @@ class ResponseModel:
         return "-"
 
 
+def _check_finite(where, rows, npar, y, g=None):
+    """Reject a model batch for ``rows`` inputs whose response is not of shape
+    (rows,), whose gradient is not of shape (rows, npar), or which holds a NaN
+    or infinite value; ``where`` ends the error message."""
+    if y.shape != (rows,) or (g is not None and g.shape != (rows, npar)):
+        got = f"{y.shape}" if g is None else f"{y.shape} and {g.shape}"
+        raise ModelDomainError(f"model returned shapes {got} for {rows} rows and {npar} "
+                               f"sensitivity parameters {where}")
+    bad = ~np.isfinite(y)
+    if g is not None:
+        bad |= ~np.isfinite(g).all(axis=1)
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:
+        raise ModelDomainError(f"model returned non-finite output for {n_bad} of "
+                               f"{y.shape[0]} rows {where}")
+
+
 def central_steps(value: float, rel_step: float):
     """(a (1+h), a (1-h), 2 a h): the two perturbed values of a parameter with
     nominal value a and the divisor of their central difference; h < 1 keeps

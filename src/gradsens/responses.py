@@ -179,10 +179,9 @@ class SdofResponse(ResponseModel):
         if not 0.0 < self.zeta < 1.0:
             raise ModelDomainError("needs 0 < zeta < 1")
         self.scale = math.sqrt(2.0 * math.pi * self.psd / self.dt)
-        # precompute the nominal transition matrices so concurrent runs only read
-        self._zoh_cache = {}
-        self._matrices(self.zeta, self.omega, full=True)
-        self._matrices(self.zeta, self.omega, full=False)
+        # nominal transition matrices by ``full``; overrides get theirs per call
+        self._nominal = {full: self._matrices(self.zeta, self.omega, full)
+                         for full in (False, True)}
         self.spec = ModelSpec(
             name="sdof",
             input_dim=self.n,
@@ -199,33 +198,18 @@ class SdofResponse(ResponseModel):
     def param_unit(self, name):
         return {"omega": "rad/s"}.get(name, "-")
 
-    @staticmethod
-    def _zoh(a_mat, b_vec, dt):
-        # [Ad, Bd] from one matrix exponential of the (m+1)-state augmentation
-        m = a_mat.shape[0]
-        aug = np.zeros((m + 1, m + 1))
-        aug[:m, :m] = a_mat
-        aug[:m, m] = b_vec
-        e = sla.expm(aug * dt)
+    def _matrices(self, z, w, full):
+        """Zero-order-hold [Ad, Bd] of the 6-state system, or without ``full`` of
+        its leading 2-state oscillator, from one matrix exponential of [[A, b], [0, 0]]."""
+        aug = np.zeros((7, 7))  # the 6-state system; states 0 and 1 are the oscillator
+        aug[0, 1] = aug[2, 3] = aug[4, 5] = aug[1, 6] = 1.0
+        aug[1, 0], aug[1, 1] = -w * w, -2.0 * z * w
+        aug[3, 1], aug[3, 2], aug[3, 3] = -2.0 * w, -w * w, -2.0 * z * w
+        aug[5, 0], aug[5, 1], aug[5, 4], aug[5, 5] = -2.0 * w, -2.0 * z, -w * w, -2.0 * z * w
+        m = 6 if full else 2
+        keep = [*range(m), 6]  # the m states, then the input
+        e = sla.expm(aug[np.ix_(keep, keep)] * self.dt)
         return e[:m, :m], e[:m, m]
-
-    def _matrices(self, zeta, omega, full):
-        key = (zeta, omega, full)
-        if key not in self._zoh_cache:
-            z, w = zeta, omega
-            if full:
-                a = np.zeros((6, 6))
-                a[0, 1] = a[2, 3] = a[4, 5] = 1.0
-                a[1, 0], a[1, 1] = -w * w, -2.0 * z * w
-                a[3, 1], a[3, 2], a[3, 3] = -2.0 * w, -w * w, -2.0 * z * w
-                a[5, 0], a[5, 1], a[5, 4], a[5, 5] = -2.0 * w, -2.0 * z, -w * w, -2.0 * z * w
-                b = np.zeros(6)
-                b[1] = 1.0
-            else:
-                a = np.array([[0.0, 1.0], [-w * w, -2.0 * z * w]])
-                b = np.array([0.0, 1.0])
-            self._zoh_cache[key] = self._zoh(a, b, self.dt)
-        return self._zoh_cache[key]
 
     def _states(self, x, zeta=None, omega=None, full=False):
         """State columns (states, batch) after each of the n - 1 steps of the
@@ -235,9 +219,11 @@ class SdofResponse(ResponseModel):
         that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        zeta = self.zeta if zeta is None else zeta
-        omega = self.omega if omega is None else omega
-        ad, bd = self._matrices(zeta, omega, full=full)
+        if zeta is None and omega is None:
+            ad, bd = self._nominal[full]
+        else:
+            ad, bd = self._matrices(self.zeta if zeta is None else zeta,
+                                    self.omega if omega is None else omega, full)
         w = np.multiply(x[:, : self.n - 1].T, self.scale, order="C")
         state = np.zeros((bd.shape[0], x.shape[0]))
         nxt = np.empty_like(state)

@@ -77,21 +77,28 @@ class KernelSpec:
 class SensitivityCurve:
     """Sensitivity estimates per parameter on a threshold grid.
 
-    ``raw`` is dF/da; ``scaled`` is a * dF/da (response-scale measure) and
-    ``fractional`` is (a / F) * dF/da, both filled by ``normalize_curve``.
+    ``raw`` is dF/da; ``column`` derives a * dF/da and (a / F) * dF/da from it
+    and the ``ccdf`` and parameter ``values`` that ``normalize_curve`` adds.
     """
 
     y: np.ndarray
     params: tuple
     raw: np.ndarray
     widths: tuple
-    scaled: np.ndarray | None = None
-    fractional: np.ndarray | None = None
     ccdf: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def column(self, param: str, which: str = "raw") -> np.ndarray:
+        """dF/da ("raw"), a dF/da ("scaled") or (a / F) dF/da ("fractional")."""
         j = self.params.index(param)
-        return getattr(self, which)[:, j]
+        if which == "raw":
+            return self.raw[:, j]
+        scaled = self.raw[:, j] * self.values[j]
+        if which == "scaled":
+            return scaled
+        if which == "fractional":
+            return fractional_measure(scaled[:, None], self.ccdf)[:, 0]
+        raise ValueError(f"unknown measure {which!r}")
 
 
 def scott_width(sigma_y: float, n_i: int) -> float:
@@ -212,7 +219,8 @@ def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),
 
 def normalize_curve(curve: SensitivityCurve, ccdf: CcdfCurve,
                     spec: ModelSpec) -> SensitivityCurve:
-    """Fill the a * dF/da and (a / F) * dF/da columns against the CCDF.
+    """Attach the CCDF and the parameter values, from which ``column`` derives
+    the a * dF/da and (a / F) * dF/da measures.
 
     Grids must align.  Points where the CCDF estimate is not positive get NaN
     in the fractional measure.
@@ -220,9 +228,7 @@ def normalize_curve(curve: SensitivityCurve, ccdf: CcdfCurve,
     if curve.y.shape != ccdf.y.shape or not np.array_equal(curve.y, ccdf.y):
         raise ValueError("sensitivity and CCDF grids are not aligned")
     values = np.array([spec.value(p) for p in curve.params])
-    scaled = curve.raw * values[None, :]
-    return replace(curve, scaled=scaled, fractional=fractional_measure(scaled, ccdf.f),
-                   ccdf=ccdf.f.copy())
+    return replace(curve, ccdf=ccdf.f.copy(), values=values)
 
 
 def fractional_measure(scaled, f) -> np.ndarray:

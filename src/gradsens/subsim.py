@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ModelDomainError, ResponseModel
+from .model import ConfigError, ResponseModel, _check_finite
 from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
@@ -123,23 +123,6 @@ def correlation_param(i: int, p0: float):
     return a, math.sqrt(1.0 - a * a)
 
 
-def _check_finite(level, rows, npar, y, g=None):
-    """Reject a model batch for ``rows`` inputs whose response is not of shape
-    (rows,), whose gradient is not of shape (rows, npar), or which holds a NaN
-    or infinite value."""
-    if y.shape != (rows,) or (g is not None and g.shape != (rows, npar)):
-        got = f"{y.shape}" if g is None else f"{y.shape} and {g.shape}"
-        raise ModelDomainError(f"model returned shapes {got} for {rows} rows and {npar} "
-                               f"sensitivity parameters at level {level}")
-    bad = ~np.isfinite(y)
-    if g is not None:
-        bad |= ~np.isfinite(g).all(axis=1)
-    n_bad = int(np.count_nonzero(bad))
-    if n_bad:
-        raise ModelDomainError(f"model returned non-finite output for {n_bad} of "
-                               f"{y.shape[0]} rows at level {level}")
-
-
 def _advance_chains(model, x, y, g, threshold, a, s, streams, level):
     """One synchronous step of all chains; candidates evaluated as one batch."""
     rows, n = x.shape
@@ -150,15 +133,15 @@ def _advance_chains(model, x, y, g, threshold, a, s, streams, level):
     xc = a * x + s * z
     if model.eager_gradients:
         yc, gc = model.evaluate_batch(xc)
-        _check_finite(level, rows, npar, yc, gc)
+        _check_finite(f"at level {level}", rows, npar, yc, gc)
         acc = yc >= threshold
         gnew = gc[acc]
     else:
         yc = model.response_batch(xc)
-        _check_finite(level, rows, npar, yc)
+        _check_finite(f"at level {level}", rows, npar, yc)
         acc = yc >= threshold
         gnew = model.gradient_batch(xc[acc]) if acc.any() else g[:0]
-        _check_finite(level, int(np.count_nonzero(acc)), npar, yc[acc], gnew)
+        _check_finite(f"at level {level}", int(np.count_nonzero(acc)), npar, yc[acc], gnew)
     x[acc] = xc[acc]
     y[acc] = yc[acc]
     g[acc] = gnew
@@ -181,7 +164,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
 
     x_lv = root.split(_LEVEL0_STREAM).standard_normal((N, n))
     y_lv, g_lv = model.evaluate_batch(x_lv)
-    _check_finite(0, N, len(model.spec.sensitivity_params), y_lv, g_lv)
+    _check_finite("at level 0", N, len(model.spec.sensitivity_params), y_lv, g_lv)
 
     thresholds = []
     bins = []

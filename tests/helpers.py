@@ -1,8 +1,12 @@
-"""Probes that only tests need, built on the package's own code paths."""
+"""Probes that only tests need, built on the package's own code paths, and a
+model with a fault in its output."""
 
+import dataclasses
 import math
 
 import numpy as np
+
+from gradsens.responses import NormalResponse
 
 
 def simulate(model, x, zeta=None, omega=None):
@@ -32,3 +36,23 @@ def y_at_mean_ccdf(agg, f_target: float) -> float:
     if not (logf[0] <= math.log(f_target) <= logf[-1]):
         raise ValueError(f"target CCDF {f_target} outside the aggregated range")
     return float(np.interp(math.log(f_target), logf, ygrid))
+
+
+class FaultyNormal(NormalResponse):
+    """The normal model with one fault in ``response_batch``: "nan" on the rows
+    with x2 > 1.476 (about 7%), "nan-moved" the same under a parameter override
+    only, or "column" a (rows, 1) array in place of (rows,).  It is not named
+    "normal", so ``run_benchmark`` takes the CRN reference for it."""
+
+    def __init__(self, fault):
+        super().__init__()
+        self.fault = fault
+        self.spec = dataclasses.replace(self.spec, name="faulty")
+
+    def response_batch(self, x, **overrides):
+        y = super().response_batch(x, **overrides)
+        if self.fault == "column":
+            return y[:, None]
+        if self.fault == "nan" or overrides:
+            y[np.atleast_2d(x)[:, 1] > 1.476] = np.nan
+        return y

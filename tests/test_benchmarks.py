@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import scipy.stats
 
 from gradsens.benchmarks import (_CRN_BLOCK, analytic_buckling, analytic_normal,
                                  crn_central_difference, run_benchmark)
-from gradsens.model import ModelSpec, ResponseModel, central_steps
+from gradsens.model import ModelDomainError, ModelSpec, ResponseModel, central_steps
 from gradsens.numkit import RngStream
 from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse, SdofResponse,
                                 build_model)
+
+from helpers import FaultyNormal
 
 
 class TestAnalyticNormal:
@@ -108,8 +111,8 @@ class PassThroughModel(ResponseModel):
 class TestCrnCentralDifference:
     def test_idle_parameter_cancels_exactly(self):
         res = crn_central_difference(PassThroughModel(), n_samples=5000, seed=1)
-        assert np.array_equal(res.column("idle"), np.zeros_like(res.y))
-        assert np.any(res.column("used") != 0.0)
+        assert np.array_equal(res.df[:, res.params.index("idle")], np.zeros_like(res.y))
+        assert np.any(res.df[:, res.params.index("used")] != 0.0)
 
     def test_deterministic(self):
         m = NormalResponse()
@@ -189,6 +192,16 @@ class TestCrnCentralDifference:
                                      y_grid=[-10.0, 10.0])
         assert np.array_equal(res.f, [1.0, 0.0])
         assert np.array_equal(res.df, [[0.0], [0.0]])
+
+    @pytest.mark.parametrize("fault, message", [
+        # unchecked, the NaN rows sort last and count as exceedances: F(10) = 0.07
+        ("nan", "non-finite output for 357 of 5000 rows in CRN rows 0-5000 with overrides {}"),
+        ("nan-moved", "rows in CRN rows 0-5000 with overrides {'loc': 1.01}"),
+        ("column", "shapes (5000, 1) for 5000 rows"),
+    ], ids=["nan", "nan-moved", "column"])
+    def test_rejects_bad_model_output(self, fault, message):
+        with pytest.raises(ModelDomainError, match=re.escape(message)):
+            crn_central_difference(FaultyNormal(fault), n_samples=5000, seed=1)
 
 
 def two_pass_crn(model, params=None, n_samples=10**6, rel_step=0.01, seed=0,

@@ -10,7 +10,7 @@ from gradsens.responses import NormalResponse, PileResponse
 from gradsens.sensest import KernelSpec
 from gradsens.subsim import SsConfig
 
-from helpers import y_at_mean_ccdf
+from helpers import FaultyNormal, y_at_mean_ccdf
 
 
 def manifest_without_walltime(path):
@@ -89,7 +89,7 @@ class TestCmdRun:
         from gradsens.numkit import RepeatedEigenvalueError
         import gradsens.cli as climod
 
-        def boom(args):
+        def boom(args, model, params):
             raise RepeatedEigenvalueError("tied stories")
 
         monkeypatch.setattr(climod, "cmd_run", boom)
@@ -317,12 +317,44 @@ class TestCmdBenchmark:
         assert rc == 2
         assert "configuration error: rel_step=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["nan", "nan-moved", "column"])
+    def test_bad_model_output_exit_3(self, tmp_path, capsys, monkeypatch, fault):
+        import gradsens.cli as climod
+
+        monkeypatch.setattr(climod, "build_model", lambda name: FaultyNormal(fault))
+        rc = main(["benchmark", "--model", "sdof", "--samples", "2000",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "model error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             rc = main(["benchmark", "--model", "sdof", "--samples", "1000",
                        "--grid-points", "16", "--seed", "5", "--out", str(tmp_path / sub)])
             assert rc == 0
         assert csv_bytes(tmp_path / "a") == csv_bytes(tmp_path / "b")
+
+
+class TestManifestOutputs:
+    """manifest.json ends with the list of the CSVs a command writes, in order."""
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["run", "--model", "normal", "--n", "200", "--param", "mix", "--param", "loc"],
+         ["ccdf.csv", "sensitivity_loc.csv", "sensitivity_mix.csv", "scatter_loc.csv",
+          "scatter_mix.csv"]),
+        (["repeat", "--model", "pile", "--runs", "2", "--n", "100"],
+         ["repeat_ccdf.csv", "repeat_sensitivity_B.csv", "repeat_sensitivity_mu.csv"]),
+        (["benchmark", "--model", "sdof", "--samples", "200", "--grid-points", "8"],
+         ["benchmark_zeta.csv", "benchmark_omega.csv"]),
+    ], ids=["run", "repeat", "benchmark"])
+    def test_lists_exactly_the_csvs_written(self, tmp_path, argv, outputs):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert list(man)[-1] == "outputs"
+        assert man["outputs"] == outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
 
 
 class TestCsvRoundTrip:
@@ -395,7 +427,8 @@ class TestRepeatApi:
         b = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
         for ra, rb in zip(a.runs, b.runs):
             assert np.array_equal(ra.y, rb.y)
-            assert np.array_equal(ra.fractional, rb.fractional)
+            for p in ra.params:
+                assert np.array_equal(ra.column(p, "fractional"), rb.column(p, "fractional"))
 
     def test_pile_non_eager_gradient_policy_in_engine(self):
         # deferred-gradient models run through the same engine surface
@@ -413,4 +446,5 @@ class TestRepeatApi:
         monkeypatch.setenv("GRADSENS_THREADS", "3")
         b = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
         for ra, rb in zip(a.runs, b.runs):
-            assert np.array_equal(ra.fractional, rb.fractional)
+            for p in ra.params:
+                assert np.array_equal(ra.column(p, "fractional"), rb.column(p, "fractional"))

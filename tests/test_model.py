@@ -4,11 +4,11 @@ import pytest
 from gradsens.benchmarks import crn_central_difference, run_benchmark
 from gradsens.cli import _select_params, repeat_runs
 from gradsens.model import (ConfigError, ModelDomainError, ModelSpec, ResponseModel,
-                            central_steps, fd_gradient_batch)
+                            _check_finite, central_steps, fd_gradient_batch)
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
 from gradsens.sensest import KernelSpec, scott_width
-from gradsens.subsim import SsConfig, _check_finite
+from gradsens.subsim import SsConfig
 
 
 class QuadraticModel(ResponseModel):
@@ -97,10 +97,10 @@ def test_fd_matches_analytic_normal():
 def test_sample_record_rejects_nonfinite():
     # the engine's entry check on every model batch
     with pytest.raises(ModelDomainError):
-        _check_finite(0, 1, 1, np.array([float("nan")]), np.zeros((1, 1)))
+        _check_finite("at level 0", 1, 1, np.array([float("nan")]), np.zeros((1, 1)))
     with pytest.raises(ModelDomainError):
-        _check_finite(0, 1, 1, np.zeros(1), np.array([[float("inf")]]))
-    _check_finite(0, 1, 1, np.zeros(1), np.zeros((1, 1)))
+        _check_finite("at level 0", 1, 1, np.zeros(1), np.array([[float("inf")]]))
+    _check_finite("at level 0", 1, 1, np.zeros(1), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("check", [

@@ -6,10 +6,10 @@ import scipy.stats
 
 from gradsens.numkit import RngStream, std_normal_pdf
 from gradsens.responses import NormalResponse, build_model
-from gradsens.sensest import (DegenerateResponseError, KernelSpec, normalize_curve,
-                              response_moments, scott_width, sensitivity_direct_mc,
-                              sensitivity_subsim)
-from gradsens.subsim import Bin, BinPartition, SsConfig, run_subset_simulation
+from gradsens.sensest import (DegenerateResponseError, KernelSpec, fractional_measure,
+                              normalize_curve, response_moments, scott_width,
+                              sensitivity_direct_mc, sensitivity_subsim)
+from gradsens.subsim import Bin, BinPartition, CcdfCurve, SsConfig, run_subset_simulation
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 
@@ -206,26 +206,54 @@ class TestNormalizeCurve:
         bins.bins[0].g = np.zeros_like(bins.bins[0].g)
         curve = sensitivity_subsim(bins, y_grid=ccdf.y)
         curve = normalize_curve(curve, ccdf, m.spec)
-        assert np.array_equal(curve.scaled, np.zeros_like(curve.scaled))
-        assert np.array_equal(curve.fractional, np.zeros_like(curve.fractional))
+        for p in curve.params:
+            assert np.array_equal(curve.column(p, "scaled"), np.zeros_like(curve.y))
+            assert np.array_equal(curve.column(p, "fractional"), np.zeros_like(curve.y))
 
     def test_scaling_columns(self):
         m = NormalResponse(loc=2.0, scale=1.5, mix=0.5)
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
         curve = normalize_curve(sensitivity_subsim(bins, y_grid=ccdf.y), ccdf, m.spec)
-        assert np.allclose(curve.scaled[:, 0], 2.0 * curve.raw[:, 0], rtol=1e-15)
-        assert np.allclose(curve.fractional[:, 1], 1.5 * curve.raw[:, 1] / ccdf.f, rtol=1e-15)
+        assert np.allclose(curve.column("loc", "scaled"), 2.0 * curve.raw[:, 0], rtol=1e-15)
+        assert np.allclose(curve.column("scale", "fractional"), 1.5 * curve.raw[:, 1] / ccdf.f,
+                           rtol=1e-15)
 
     def test_zero_ccdf_flagged_nan(self):
-        from gradsens.subsim import CcdfCurve
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
         f = ccdf.f.copy()
         f[-1] = 0.0
         curve = sensitivity_subsim(bins, y_grid=ccdf.y)
         curve = normalize_curve(curve, CcdfCurve(y=ccdf.y, f=f), m.spec)
-        assert np.all(np.isnan(curve.fractional[-1]))
-        assert np.all(np.isfinite(curve.fractional[:-1]))
+        frac = np.stack([curve.column(p, "fractional") for p in curve.params], axis=1)
+        assert np.all(np.isnan(frac[-1]))
+        assert np.all(np.isfinite(frac[:-1]))
+
+    @pytest.mark.parametrize("name", ["normal", "pile"])
+    def test_columns_match_stored_measures_bitwise(self, name):
+        # the arrays normalize_curve stored before column derived them
+        m = build_model(name)
+        bins, ccdf = run_subset_simulation(m, SsConfig(m=2, p0=0.1, n_per_level=200, seed=5))
+        f = ccdf.f.copy()
+        f[-3:] = 0.0  # NaN in the fractional measure
+        curve = normalize_curve(sensitivity_subsim(bins, y_grid=ccdf.y),
+                                CcdfCurve(y=ccdf.y, f=f), m.spec)
+        values = np.array([m.spec.value(p) for p in curve.params])
+        scaled = curve.raw * values[None, :]
+        stored = {"raw": curve.raw, "scaled": scaled,
+                  "fractional": fractional_measure(scaled, f)}
+        for j, p in enumerate(curve.params):
+            for which, ref in stored.items():
+                got = curve.column(p, which)
+                assert got.shape == ref[:, j].shape
+                assert np.array_equal(got.view(np.uint64), ref[:, j].view(np.uint64))
+
+    def test_unknown_measure_rejected(self):
+        m = NormalResponse()
+        bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
+        curve = normalize_curve(sensitivity_subsim(bins, y_grid=ccdf.y), ccdf, m.spec)
+        with pytest.raises(ValueError, match="unknown measure 'ccdf'"):
+            curve.column("loc", "ccdf")
 
     def test_grid_mismatch_rejected(self):
         m = NormalResponse()
