@@ -245,7 +245,6 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
                 "correlation_rule": "quantile-ratio"},
         kernel={"kind": "gaussian", "width_rule": kernel.width_rule, "width": kernel.width},
         runs=runs,
-        base_seed=config.seed,
         seeds=list(agg.seeds),
         grid_points=grid_points,
         model_evaluations=runs * config.model_evaluations,

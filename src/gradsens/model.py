@@ -3,7 +3,8 @@
 A model maps an i.i.d. standard-normal input vector x to a scalar response y
 and, for each declared sensitivity parameter, the derivative of y with respect
 to that parameter at the same x.  Evaluation is batched: the engine always
-hands the model a (batch, n) block of inputs.
+hands the model a float64 (batch, n) array of inputs, which models use as
+given; to evaluate one input, pass x[None].
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class ModelSpec:
         for n, v in self.params:
             if n == name:
                 return v
-        raise KeyError(name)
+        raise ConfigError(f"model {self.name!r} has no parameter {name!r}")
 
 
 class ResponseModel:
@@ -81,7 +82,6 @@ class ResponseModel:
 
     def evaluate_batch(self, x: np.ndarray):
         """(y, g) for a (batch, n) input block."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.response_batch(x), self.gradient_batch(x)
 
     def param_unit(self, name: str) -> str:
@@ -120,7 +120,6 @@ def central_steps(value: float, rel_step: float):
 
 def fd_gradient_batch(model: ResponseModel, x: np.ndarray, rel_step: float) -> np.ndarray:
     """Central-difference gradients in each sensitivity parameter (``central_steps``)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     cols = []
     for name in model.spec.sensitivity_params:
         up, down, denom = central_steps(model.spec.value(name), rel_step)

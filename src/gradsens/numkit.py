@@ -137,11 +137,11 @@ def smallest_gen_eigenpair(k, kg):
 
     Reduces via kg = L L^T to a standard symmetric problem and solves densely;
     robust at the small orders used here.  u is scaled to u^T kg u = 1 with the
-    largest-magnitude component positive.  Accepts stacked (..., n, n) inputs.
+    largest-magnitude component positive.  k and kg are stacks (..., n, n) of
+    one shape; lam has shape (...), so a single pair gives a 0-d array.
     """
     K = _as_sym_array(k)
     Kg = _as_sym_array(kg)
-    K, Kg = np.broadcast_arrays(K, Kg)
     try:
         L = np.linalg.cholesky(Kg)
     except np.linalg.LinAlgError:
@@ -159,8 +159,6 @@ def smallest_gen_eigenpair(k, kg):
     u = u / np.sqrt(q)[..., None]
     lead = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
     u = u * np.where(lead < 0.0, -1.0, 1.0)
-    if K.ndim == 2:
-        return float(lam), u
     return lam, u
 
 
@@ -173,35 +171,22 @@ def eigen_derivative(k, kg, dk_da, dkg_da, lam, u):
         [ -(kg u)^T      0   ] [ dl/da  ] = [  u^T dkg u / 2    ]
 
     by LU with partial pivoting.  The eigenvector must carry the scaling
-    u^T kg u = 1 used by ``smallest_gen_eigenpair``; zero matrices are accepted
-    for absent dk/dkg.  Accepts stacked inputs.
+    u^T kg u = 1 used by ``smallest_gen_eigenpair``; ``None`` stands for an
+    absent dk/dkg.  lam and u are arrays as that routine returns them; the
+    (..., n, n) matrices broadcast against them, and the result has the stack
+    shape of kg u.
     """
-    K = _as_sym_array(k)
-    Kg = _as_sym_array(kg)
-    n = K.shape[-1]
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    dK = np.zeros((n, n)) if dk_da is None else _as_sym_array(dk_da)
-    dKg = np.zeros((n, n)) if dkg_da is None else _as_sym_array(dkg_da)
-    batch = np.broadcast_shapes(
-        K.shape[:-2], Kg.shape[:-2], dK.shape[:-2], dKg.shape[:-2], u.shape[:-1], lam.shape
-    )
-    scalar = not batch and K.ndim == 2
-    K = np.broadcast_to(K, batch + (n, n))
-    Kg = np.broadcast_to(Kg, batch + (n, n))
-    dK = np.broadcast_to(dK, batch + (n, n))
-    dKg = np.broadcast_to(dKg, batch + (n, n))
-    u = np.broadcast_to(u, batch + (n,))
-    lam = np.broadcast_to(lam, batch)
-
-    kg_u = np.einsum("...ij,...j->...i", Kg, u)
-    A = np.zeros(K.shape[:-2] + (n + 1, n + 1))
-    A[..., :n, :n] = K - lam[..., None, None] * Kg
+    kg_u = np.einsum("...ij,...j->...i", kg, u)
+    n = kg_u.shape[-1]
+    dk = np.zeros((n, n)) if dk_da is None else dk_da
+    dkg = np.zeros((n, n)) if dkg_da is None else dkg_da
+    A = np.zeros(kg_u.shape[:-1] + (n + 1, n + 1))
+    A[..., :n, :n] = k - lam[..., None, None] * kg
     A[..., :n, n] = -kg_u
     A[..., n, :n] = -kg_u
-    rhs = np.zeros(K.shape[:-2] + (n + 1,))
-    rhs[..., :n] = -np.einsum("...ij,...j->...i", dK - lam[..., None, None] * dKg, u)
-    rhs[..., n] = 0.5 * np.einsum("...i,...ij,...j->...", u, dKg, u)
+    rhs = np.zeros(kg_u.shape[:-1] + (n + 1,))
+    rhs[..., :n] = -np.einsum("...ij,...j->...i", dk - lam[..., None, None] * dkg, u)
+    rhs[..., n] = 0.5 * np.einsum("...i,...ij,...j->...", u, dkg, u)
     try:
         sol = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -209,5 +194,4 @@ def eigen_derivative(k, kg, dk_da, dkg_da, lam, u):
             "augmented eigen-derivative system is singular; "
             "the smallest eigenvalue appears to be repeated"
         ) from exc
-    out = sol[..., n]
-    return float(out) if scalar else out
+    return sol[..., n]

@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy import linalg as sla
 
-from .model import ModelDomainError, ModelSpec, ResponseModel
+from .model import ConfigError, ModelDomainError, ModelSpec, ResponseModel
 from . import numkit
 
 
@@ -45,14 +45,12 @@ class NormalResponse(ResponseModel):
         return math.sqrt(d)
 
     def response_batch(self, x, loc=None, scale=None, mix=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         loc = self.loc if loc is None else loc
         scale = self.scale if scale is None else scale
         mix = self.mix if mix is None else mix
         return loc + self._coeff(scale, mix) * x[:, 0] + mix * x[:, 1]
 
     def evaluate_batch(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         beta = self._coeff(self.scale, self.mix)
         y = self.loc + beta * x[:, 0] + self.mix * x[:, 1]
         g = np.empty((x.shape[0], 3))
@@ -64,7 +62,6 @@ class NormalResponse(ResponseModel):
 
 def _shear_matrix(c):
     """Tridiagonal shear-building pattern from story coefficients (..., n)."""
-    c = np.asarray(c, dtype=float)
     n = c.shape[-1]
     m = np.zeros(c.shape[:-1] + (n, n))
     i = np.arange(n)
@@ -131,13 +128,11 @@ class BucklingResponse(ResponseModel):
         return self.lam0 * self._loads(x, load) / (k * self.height)
 
     def response_batch(self, x, load=None, k2=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         load = self.load if load is None else load
         k2 = self.k2 if k2 is None else k2
         return self._terms(x, load, k2).max(axis=1)
 
     def evaluate_batch(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         terms = self._terms(x, self.load, self.k2)
         top = np.sort(terms, axis=1)[:, -2:]
         if np.any(top[:, 1] - top[:, 0] <= 1e-9 * top[:, 1]):
@@ -218,7 +213,6 @@ class SdofResponse(ResponseModel):
         The 2-state oscillator (u, u'), or with ``full`` the 6-state system
         that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         if zeta is None and omega is None:
             ad, bd = self._nominal[full]
         else:
@@ -234,13 +228,13 @@ class SdofResponse(ResponseModel):
             yield state
 
     def response_batch(self, x, zeta=None, omega=None):
-        best = np.zeros(np.atleast_2d(x).shape[0])
+        best = np.zeros(x.shape[0])
         for state in self._states(x, zeta, omega):
             np.maximum(best, np.abs(state[0]), out=best)
         return best
 
     def evaluate_batch(self, x):
-        nb = np.atleast_2d(x).shape[0]
+        nb = x.shape[0]
         traj = np.zeros((self.n, 3, nb))  # u, u_zeta, u_omega
         for j, state in enumerate(self._states(x, full=True), start=1):
             traj[j] = state[::2]
@@ -315,7 +309,6 @@ class PileResponse(ResponseModel):
 
     def field(self, x, mu=None):
         """Friction-angle field phi'(z_i) for a (batch, n) input block."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         mu = self.mu if mu is None else mu
         return mu * np.exp(self.u_ln + self.s_ln * (x @ self.chol.T))
 
@@ -367,5 +360,5 @@ def build_model(name: str, **kwargs) -> ResponseModel:
     try:
         builder = MODEL_BUILDERS[name]
     except KeyError:
-        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
+        raise ConfigError(f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
     return builder(**kwargs)

@@ -12,7 +12,7 @@ from gradsens.responses import NormalResponse
 def simulate(model, x, zeta=None, omega=None):
     """Displacement trajectories u(j dt) of an ``SdofResponse``, shape (batch, n),
     recorded from the recursion that ``response_batch`` runs."""
-    u = np.zeros((np.atleast_2d(x).shape[0], model.n))
+    u = np.zeros((x.shape[0], model.n))
     for j, state in enumerate(model._states(x, zeta, omega), start=1):
         u[:, j] = state[0]
     return u
@@ -20,7 +20,6 @@ def simulate(model, x, zeta=None, omega=None):
 
 def critical_story(model, x, load=None, k2=None):
     """0-based index of the story governing a ``BucklingResponse`` buckling load."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     load = model.load if load is None else load
     k2 = model.k2 if k2 is None else k2
     return model._terms(x, load, k2).argmax(axis=1)
@@ -54,5 +53,5 @@ class FaultyNormal(NormalResponse):
         if self.fault == "column":
             return y[:, None]
         if self.fault == "nan" or overrides:
-            y[np.atleast_2d(x)[:, 1] > 1.476] = np.nan
+            y[x[:, 1] > 1.476] = np.nan
         return y

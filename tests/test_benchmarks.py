@@ -104,7 +104,6 @@ class PassThroughModel(ResponseModel):
                               sensitivity_params=("used", "idle"))
 
     def response_batch(self, x, used=None, idle=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return x[:, 0] + (1.0 if used is None else used)
 
 

@@ -212,6 +212,15 @@ class TestCmdRepeat:
         assert rc == 2
         assert "configuration error: GRADSENS_THREADS" in capsys.readouterr().err
 
+    def test_explicit_seeds_manifest(self, tmp_path):
+        # the manifest lists every run's seed and no base seed that no run used
+        rc = main(["repeat", "--model", "normal", "--runs", "2", "--n", "100",
+                   "--seeds", "4,9", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert man["seeds"] == [4, 9]
+        assert "base_seed" not in man
+
     def test_single_run_rejected(self, tmp_path):
         rc = main(["repeat", "--model", "normal", "--runs", "1",
                    "--out", str(tmp_path / "out")])

@@ -6,9 +6,9 @@ from gradsens.cli import _select_params, repeat_runs
 from gradsens.model import (ConfigError, ModelDomainError, ModelSpec, ResponseModel,
                             _check_finite, central_steps, fd_gradient_batch)
 from gradsens.numkit import RngStream
-from gradsens.responses import NormalResponse
+from gradsens.responses import NormalResponse, build_model
 from gradsens.sensest import KernelSpec, scott_width
-from gradsens.subsim import SsConfig
+from gradsens.subsim import SsConfig, run_subset_simulation
 
 
 class QuadraticModel(ResponseModel):
@@ -22,7 +22,6 @@ class QuadraticModel(ResponseModel):
                               params=(("alpha", alpha),), sensitivity_params=("alpha",))
 
     def response_batch(self, x, alpha=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         a = self.alpha if alpha is None else alpha
         return np.full(x.shape[0], a * a)
 
@@ -37,7 +36,6 @@ class ShiftModel(ResponseModel):
                               sensitivity_params=("used", "unused"))
 
     def response_batch(self, x, used=None, unused=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return x[:, 0] + (self.used if used is None else used)
 
 
@@ -117,11 +115,62 @@ def test_sample_record_rejects_nonfinite():
     lambda: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, 0, grid_points=1),
     lambda: repeat_runs(NormalResponse(), SsConfig(), KernelSpec(), [1]),
     lambda: _select_params(NormalResponse(), ["bogus"]),
+    lambda: build_model("nope"),
+    lambda: NormalResponse().spec.value("bogus"),
+    lambda: crn_central_difference(NormalResponse(), params=("bogus",), n_samples=10),
 ], ids=["levels", "p0", "p0-to-the-m", "width-rule", "width-number", "width-zero", "fd-step", "seed",
-        "one-sample-bin", "crn-samples", "grid-points", "one-run", "param"])
+        "one-sample-bin", "crn-samples", "grid-points", "one-run", "param", "model-name",
+        "spec-value", "crn-param"])
 def test_argument_checks_raise_config_error(check):
     with pytest.raises(ConfigError):
         check()
+
+
+class SpyNormal(NormalResponse):
+    """The normal model recording the input block of every model call."""
+
+    def __init__(self, eager):
+        super().__init__()
+        self.eager_gradients = eager
+        self.seen = []
+
+    def _record(self, method, x, overrides=None):
+        self.seen.append((method, type(x), x.dtype, x.shape, bool(overrides)))
+
+    def response_batch(self, x, **overrides):
+        self._record("response_batch", x, overrides)
+        return super().response_batch(x, **overrides)
+
+    def evaluate_batch(self, x):
+        self._record("evaluate_batch", x)
+        return super().evaluate_batch(x)
+
+    def gradient_batch(self, x):
+        self._record("gradient_batch", x)
+        return super().gradient_batch(x)
+
+
+def assert_float64_blocks(model, methods):
+    assert {s[0] for s in model.seen} == methods
+    for method, kind, dtype, shape, _ in model.seen:
+        assert kind is np.ndarray and dtype == np.float64, method
+        assert len(shape) == 2 and shape[0] >= 1 and shape[1] == model.spec.input_dim, method
+
+
+@pytest.mark.parametrize("eager", [True, False], ids=["eager", "deferred-gradients"])
+def test_engine_hands_models_float64_blocks(eager):
+    # what lets models (and fd_gradient_batch) use x as given, without coercion
+    model = SpyNormal(eager)
+    run_subset_simulation(model, SsConfig(m=3, p0=0.1, n_per_level=200, seed=5))
+    assert_float64_blocks(model, {"evaluate_batch"} if eager
+                          else {"evaluate_batch", "response_batch", "gradient_batch"})
+
+
+def test_crn_reference_hands_models_float64_blocks():
+    model = SpyNormal(True)
+    crn_central_difference(model, n_samples=300, rel_step=0.01, seed=2)
+    assert_float64_blocks(model, {"response_batch"})
+    assert any(s[4] for s in model.seen) and not all(s[4] for s in model.seen)
 
 
 def test_model_spec_validation():

@@ -257,4 +257,4 @@ class TestEigenDerivative:
     def test_repeated_eigenvalue_reported(self):
         with pytest.raises(RepeatedEigenvalueError):
             eigen_derivative(np.eye(3), np.eye(3), np.diag([1.0, 0.0, 0.0]), None,
-                             1.0, np.array([1.0, 0.0, 0.0]))
+                             np.array(1.0), np.array([1.0, 0.0, 0.0]))

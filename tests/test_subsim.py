@@ -159,7 +159,6 @@ class StaircaseModel(ResponseModel):
                               params=(("a", 1.0),), sensitivity_params=("a",))
 
     def response_batch(self, x, a=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.round(x[:, 0])
 
     def evaluate_batch(self, x):
@@ -181,13 +180,13 @@ class FaultyModel(ResponseModel):
 
     def response_batch(self, x, a=None):
         self.calls += 1
-        y = np.atleast_2d(np.asarray(x, dtype=float))[:, 0].copy()
+        y = x[:, 0].copy()
         if self.where == "y" and self.calls >= self.bad_call:
             y[0] = self.value
         return y
 
     def gradient_batch(self, x):
-        g = np.ones((np.atleast_2d(x).shape[0], 1))
+        g = np.ones((x.shape[0], 1))
         if self.where == "g" and self.calls >= self.bad_call:
             g[0, 0] = self.value
         return g
