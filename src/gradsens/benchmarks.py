@@ -128,28 +128,30 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
                            provenance="crn_fd", n_samples=n_samples, fd_step=rel_step)
 
 
-def _buckling_reference(model, y):
-    return analytic_buckling(y, load=model.load, k2=model.k2, stiffness=model.k[0],
-                             height=model.height, stories=model.stories,
-                             load_cov=model.load_cov, lam0=model.lam0)
-
-
-def _analytic_grid(model, grid_points=256):
-    """Threshold grid at log-spaced exceedance levels of the analytic CCDF."""
+def _analytic_reference(model, grid_points):
+    """Analytic references of the normal or buckling model, on a threshold grid
+    at log-spaced exceedance levels of its CCDF."""
     levels = np.logspace(math.log10(0.999), -4, grid_points)
     if model.spec.name == "normal":
-        return model.loc + model.scale * std_normal_ccdf_inv(levels)
+        grid = model.loc + model.scale * std_normal_ccdf_inv(levels)
+        return analytic_normal(grid, loc=model.loc, scale=model.scale, mix=model.mix)
+
+    def reference(y):
+        return analytic_buckling(y, load=model.load, k2=model.k2, stiffness=model.k[0],
+                                 height=model.height, stories=model.stories,
+                                 load_cov=model.load_cov, lam0=model.lam0)
+
     # bisection on the buckling CCDF; it is strictly decreasing in y
     lo = np.full_like(levels, 1e-6)
     hi = np.ones_like(levels)
-    while np.any(_buckling_reference(model, hi).f > levels):
-        hi = np.where(_buckling_reference(model, hi).f > levels, hi * 2.0, hi)
+    while np.any(reference(hi).f > levels):
+        hi = np.where(reference(hi).f > levels, hi * 2.0, hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        above = _buckling_reference(model, mid).f > levels
+        above = reference(mid).f > levels
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    return reference(0.5 * (lo + hi))
 
 
 def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
@@ -157,10 +159,7 @@ def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
     """Analytic references when the model has them, CRN differences otherwise."""
     if grid_points < 2:
         raise ConfigError(f"grid_points={grid_points}: needs at least 2")
-    if model.spec.name == "normal":
-        grid = _analytic_grid(model, grid_points)
-        return analytic_normal(grid, loc=model.loc, scale=model.scale, mix=model.mix)
-    if model.spec.name == "buckling":
-        return _buckling_reference(model, _analytic_grid(model, grid_points))
+    if model.spec.name in ("normal", "buckling"):
+        return _analytic_reference(model, grid_points)
     return crn_central_difference(model, params=params, n_samples=n_samples,
                                   rel_step=rel_step, seed=seed, grid_points=grid_points)

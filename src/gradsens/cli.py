@@ -132,8 +132,8 @@ def _collapse(result: RunResult) -> SensitivityCurve:
     return replace(c, y=y, raw=c.raw[idx], ccdf=c.ccdf[idx])
 
 
-def _nanstd_runs(vals):
-    """Sample std (ddof=1) over runs (axis 0), ignoring NaN.
+def _mean_std(vals):
+    """Mean and sample std (ddof=1) over runs (axis 0), ignoring NaN.
 
     A grid point with fewer than 2 finite values has no sample std: it is NaN,
     set here instead of leaving numpy to warn about the degrees of freedom.
@@ -141,7 +141,7 @@ def _nanstd_runs(vals):
     ok = np.count_nonzero(np.isfinite(vals), axis=0) >= 2
     std = np.full(vals.shape[1:], np.nan)
     std[ok] = np.nanstd(vals[:, ok], axis=0, ddof=1)
-    return std
+    return np.nanmean(vals, axis=0), std
 
 
 def _interp_guarded(x, xp, fp):
@@ -171,12 +171,8 @@ class RepeatResult:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.stack([_interp_guarded(y, r.y, r.column(param, which)) for r in self.runs])
 
-    def mean_ccdf(self, y):
-        return np.nanmean(self.ccdf_runs(y), axis=0)
-
     def mean_measure(self, param, y, which="fractional"):
-        vals = self.measure_runs(param, y, which)
-        return np.nanmean(vals, axis=0), _nanstd_runs(vals)
+        return _mean_std(self.measure_runs(param, y, which))
 
 
 def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,
@@ -207,12 +203,15 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
 
 
 def thread_count() -> int:
+    """``GRADSENS_THREADS`` if set, else the number of CPUs this process may run on."""
     env = os.environ.get("GRADSENS_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"GRADSENS_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
 
 
@@ -220,9 +219,7 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
                           params, grid_points):
     yu = model.response_unit
     g = agg.grid
-    fvals = agg.ccdf_runs(g)
-    fm = np.nanmean(fvals, axis=0)
-    fs = _nanstd_runs(fvals)
+    fm, fs = _mean_std(agg.ccdf_runs(g))
     files = {"repeat_ccdf.csv": (
         [f"y[{yu}]", "ccdf_mean[-]", "ccdf_std[-]", "ccdf_lo[-]", "ccdf_hi[-]"],
         [g, fm, fs, fm - fs, fm + fs])}
@@ -363,10 +360,19 @@ def cmd_benchmark(args, model, params) -> int:
     return 0
 
 
+def _check_out(out: str):
+    """``--out`` must be a directory, or its nearest existing ancestor must be one."""
+    path = Path(out).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out!r}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"run": cmd_run, "repeat": cmd_repeat, "benchmark": cmd_benchmark}[args.command]
     try:
+        _check_out(args.out)
         model = build_model(args.model)
         return handler(args, model, _select_params(model, args.param))
     except (ModelDomainError, NumericalError, DegenerateResponseError) as exc:

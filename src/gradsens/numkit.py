@@ -74,27 +74,14 @@ class RngStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
-
-
-def _as_sym_array(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.shape[-1] != a.shape[-2]:
-        raise ValueError("expected square matrix")
-    return a
-
 
 def std_normal_pdf(z):
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return out if out.ndim else float(out)
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def std_normal_ccdf(z):
     """P(Z >= z); computed as ndtr(-z) so the far upper tail keeps precision."""
-    out = special.ndtr(-np.asarray(z, dtype=float))
-    return out if out.ndim else float(out)
+    return special.ndtr(-z)
 
 
 def std_normal_ccdf_inv(p):
@@ -103,11 +90,9 @@ def std_normal_ccdf_inv(p):
     Evaluated as -ndtri(p): the argument is used directly, so small p (deep
     upper tail) keeps full relative precision.
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("tail probability must lie strictly inside (0, 1)")
-    out = -special.ndtri(arr)
-    return out if out.ndim else float(out)
+    return -special.ndtri(p)
 
 
 def cholesky_lower(r) -> np.ndarray:
@@ -117,18 +102,17 @@ def cholesky_lower(r) -> np.ndarray:
     ``PileResponse`` factors its correlation matrix here; LAPACK's factor of
     that matrix differs in the last bits, and so would every pile response.
     """
-    a = _as_sym_array(r)
-    if a.ndim != 2:
+    if r.ndim != 2:
         raise ValueError("cholesky_lower expects a single matrix")
-    n = a.shape[0]
-    L = np.zeros_like(a)
+    n = r.shape[0]
+    L = np.zeros_like(r)
     for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
+        d = r[j, j] - L[j, :j] @ L[j, :j]
         if not d > 0.0 or not np.isfinite(d):
             raise NotPositiveDefiniteError(j)
         L[j, j] = math.sqrt(d)
         if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+            L[j + 1 :, j] = (r[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
     return L
 
 
@@ -140,14 +124,12 @@ def smallest_gen_eigenpair(k, kg):
     largest-magnitude component positive.  k and kg are stacks (..., n, n) of
     one shape; lam has shape (...), so a single pair gives a 0-d array.
     """
-    K = _as_sym_array(k)
-    Kg = _as_sym_array(kg)
     try:
-        L = np.linalg.cholesky(Kg)
+        L = np.linalg.cholesky(kg)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(-1, "kg not positive definite") from None
-    # C = L^-1 K L^-T, symmetrized against roundoff
-    t = np.linalg.solve(L, K)
+    # C = L^-1 k L^-T, symmetrized against roundoff
+    t = np.linalg.solve(L, k)
     C = np.linalg.solve(L, np.swapaxes(t, -1, -2))
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     evals, evecs = np.linalg.eigh(C)
@@ -155,7 +137,7 @@ def smallest_gen_eigenpair(k, kg):
     v = evecs[..., :, 0]
     u = np.linalg.solve(np.swapaxes(L, -1, -2), v[..., :, None])[..., 0]
     # enforce u^T kg u = 1 exactly and a deterministic sign
-    q = np.einsum("...i,...ij,...j->...", u, Kg, u)
+    q = np.einsum("...i,...ij,...j->...", u, kg, u)
     u = u / np.sqrt(q)[..., None]
     lead = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
     u = u * np.where(lead < 0.0, -1.0, 1.0)

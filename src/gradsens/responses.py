@@ -28,8 +28,7 @@ class NormalResponse(ResponseModel):
     """
 
     def __init__(self, loc=1.0, scale=1.0, mix=0.5):
-        if not scale * scale > mix * mix:
-            raise ModelDomainError("requires scale^2 > mix^2")
+        self._coeff(scale, mix)
         self.loc, self.scale, self.mix = float(loc), float(scale), float(mix)
         self.spec = ModelSpec(
             name="normal",

@@ -159,7 +159,7 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     grid, inverse = np.unique(y_grid, return_inverse=True)
     npar = bins.bins[0].g.shape[1]
     raw = np.zeros((grid.shape[0], npar))
-    ncol = max(b.y.shape[0] for b in bins.bins)
+    ncol = max(b.count for b in bins.bins)
     kbuf = np.empty(min(_GRID_CHUNK, grid.shape[0]) * ncol)
     zbuf = np.empty(_FILL_ROWS * ncol)
     under_buf = np.empty(_FILL_ROWS * ncol, dtype=bool)
@@ -167,7 +167,7 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
         scale = b.probability / (b.count * w)
         for lo in range(0, grid.shape[0], _GRID_CHUNK):
             chunk = grid[lo : lo + _GRID_CHUNK]
-            kmat = kbuf[: chunk.shape[0] * b.y.shape[0]].reshape(chunk.shape[0], -1)
+            kmat = kbuf[: chunk.shape[0] * b.count].reshape(chunk.shape[0], -1)
             for r in range(0, chunk.shape[0], _FILL_ROWS):
                 _fill_pdf(kmat[r : r + _FILL_ROWS], b.y, chunk[r : r + _FILL_ROWS], w,
                           zbuf, under_buf)
@@ -211,7 +211,7 @@ def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),
         params = tuple(f"p{j}" for j in range(g.shape[1]))
     one_bin = BinPartition(
         thresholds=np.array([]),
-        bins=[Bin(y=y, g=g, probability=1.0, count=y.shape[0])],
+        bins=[Bin(y=y, g=g, probability=1.0)],
         param_names=tuple(params),
     )
     return sensitivity_subsim(one_bin, kernel, y_grid)

@@ -85,7 +85,11 @@ class Bin:
     y: np.ndarray
     g: np.ndarray
     probability: float
-    count: int
+
+    @property
+    def count(self) -> int:
+        """The bin size N_i, read from ``y``."""
+        return self.y.shape[0]
 
 
 @dataclass
@@ -185,12 +189,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
                 stacklevel=2,
             )
         thresholds.append(b)
-        bins.append(Bin(
-            y=y_lv[rest],
-            g=g_lv[rest],
-            probability=p0 ** (level - 1) * (1.0 - p0),
-            count=N - nc,
-        ))
+        bins.append(Bin(y=y_lv[rest], g=g_lv[rest], probability=p0 ** (level - 1) * (1.0 - p0)))
 
         a, s = correlation_param(level, p0)
         streams = [root.split(_chain_stream(level, c)) for c in range(nc)]
@@ -203,12 +202,7 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
         x_lv, y_lv, g_lv = xs.reshape(N, n), ys.reshape(N), gs.reshape(N, -1)
         levels_y.append(y_lv)
 
-    bins.append(Bin(
-        y=y_lv,
-        g=g_lv,
-        probability=p0 ** (m - 1),
-        count=N,
-    ))
+    bins.append(Bin(y=y_lv, g=g_lv, probability=p0 ** (m - 1)))
 
     partition = BinPartition(
         thresholds=np.array(thresholds),

@@ -25,10 +25,15 @@ def critical_story(model, x, load=None, k2=None):
     return model._terms(x, load, k2).argmax(axis=1)
 
 
+def mean_ccdf(agg, y):
+    """Mean over the runs of a ``RepeatResult`` of their CCDFs at ``y``."""
+    return np.nanmean(agg.ccdf_runs(y), axis=0)
+
+
 def y_at_mean_ccdf(agg, f_target: float) -> float:
     """Threshold where the mean CCDF of a ``RepeatResult`` crosses f_target,
     interpolated in log F over its grid."""
-    f = agg.mean_ccdf(agg.grid)
+    f = mean_ccdf(agg, agg.grid)
     ok = np.isfinite(f) & (f > 0.0)
     logf = np.log(f[ok])[::-1]
     ygrid = agg.grid[ok][::-1]

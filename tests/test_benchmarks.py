@@ -259,3 +259,14 @@ class TestTwoPassReference:
 def test_run_benchmark_rejects_short_grid(name, points):
     with pytest.raises(ValueError, match=f"grid_points={points}"):
         run_benchmark(build_model(name), None, 100, 0.01, 0, grid_points=points)
+
+
+@pytest.mark.parametrize("name,rel", [("normal", 1e-13), ("buckling", 1e-11)])
+@pytest.mark.parametrize("points", [17, 256])
+def test_analytic_grid_at_log_spaced_levels(name, rel, points):
+    # the analytic grid sits where the exact CCDF takes log-spaced levels
+    res = run_benchmark(build_model(name), None, 100, 0.01, 0, grid_points=points)
+    assert res.provenance == "analytic"
+    assert np.all(np.diff(res.y) > 0.0)
+    levels = np.logspace(math.log10(0.999), -4, points)
+    assert np.max(np.abs(res.f / levels - 1.0)) <= rel

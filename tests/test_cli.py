@@ -1,16 +1,17 @@
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from gradsens.cli import _write_csv, main, read_csv, repeat_runs, single_run
+from gradsens.cli import _write_csv, main, read_csv, repeat_runs, single_run, thread_count
 from gradsens.model import ResponseModel
 from gradsens.responses import NormalResponse, PileResponse
 from gradsens.sensest import KernelSpec
 from gradsens.subsim import SsConfig
 
-from helpers import FaultyNormal, y_at_mean_ccdf
+from helpers import FaultyNormal, mean_ccdf, y_at_mean_ccdf
 
 
 def manifest_without_walltime(path):
@@ -183,6 +184,19 @@ class TestCmdRun:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub", "link"],
+                             ids=["file", "under-file", "dangling-link"])
+    def test_out_not_a_directory_exit_2(self, tmp_path, capsys, out):
+        # rejected before the run: the file and the link stay and nothing is created
+        (tmp_path / "file").write_text("keep\n")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        before = sorted(tmp_path.iterdir())
+        rc = main(["run", "--model", "normal", "--n", "100", "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "configuration error: --out" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "keep\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_fixed_width_flag(self, tmp_path):
         rc = main(["run", "--model", "normal", "--width", "fixed:0.2",
                    "--out", str(tmp_path / "out")])
@@ -211,6 +225,12 @@ class TestCmdRepeat:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "configuration error: GRADSENS_THREADS" in capsys.readouterr().err
+
+    def test_default_thread_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("GRADSENS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert thread_count() == 1
 
     def test_explicit_seeds_manifest(self, tmp_path):
         # the manifest lists every run's seed and no base seed that no run used
@@ -417,7 +437,7 @@ class TestRepeatApi:
         y10 = y_at_mean_ccdf(agg, 0.1)
         # inversion runs on the grid-sampled mean curve: off-node both readings
         # agree only to interpolation error
-        assert agg.mean_ccdf(np.array([y10]))[0] == pytest.approx(0.1, rel=0.01)
+        assert mean_ccdf(agg, np.array([y10]))[0] == pytest.approx(0.1, rel=0.01)
         mean, std = agg.mean_measure("loc", np.array([y10]))
         assert np.isfinite(mean[0]) and std[0] > 0.0
 

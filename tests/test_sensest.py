@@ -313,7 +313,7 @@ class TestDenseReference:
         bins = []
         for count, loc, p in ((1300, 0.0, 0.5), (40, 2.0, 0.125), (700, 3.0, 0.375)):
             bins.append(Bin(y=rng.normal(loc, 0.3, count), g=rng.normal(size=(count, 2)),
-                            probability=p, count=count))
+                            probability=p))
         part = BinPartition(thresholds=np.array([1.5, 2.5]), bins=bins, param_names=("a", "b"))
         assert_matches_dense(part)
         assert_matches_dense(part, y_grid=np.linspace(-2.0, 5.0, 50))
