@@ -12,8 +12,10 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +41,11 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_csv(path: Path, header, columns):
-    """Header line, then one row per sample with every value as '%.17g'."""
-    data = np.column_stack(columns)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    body = row * data.shape[0] % tuple(data.ravel().tolist())
+    """Header line, then one row per sample with every value as '%.17g'; a column
+    given as a list holds its values already formatted."""
+    row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in columns) + "\n"
+    cells = zip(*(c if isinstance(c, list) else c.tolist() for c in columns))
+    body = row * len(columns[0]) % tuple(chain.from_iterable(cells))
     _write_atomic(path, ",".join(header) + "\n" + body)
 
 
@@ -70,8 +73,13 @@ def _write_outputs(outdir: Path, command, model, params, files, **fields):
         "outputs": list(files),
     }
     _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=1) + "\n")
+    uses = Counter(id(c) for _, columns in files.values() for c in columns)
+    text = {}  # a column object shared by several files, formatted once
     for name, (header, columns) in files.items():
-        _write_csv(outdir / name, header, columns)
+        for c in columns:
+            if uses[id(c)] > 1 and id(c) not in text:
+                text[id(c)] = list(map("%.17g".__mod__, c.tolist()))
+        _write_csv(outdir / name, header, [text.get(id(c), c) for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +172,9 @@ class RepeatResult:
     wall_time_s: float = 0.0
 
     def ccdf_runs(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.stack([np.exp(_interp_guarded(y, r.y, np.log(r.ccdf))) for r in self.runs])
 
     def measure_runs(self, param: str, y, which: str = "fractional") -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.stack([_interp_guarded(y, r.y, r.column(param, which)) for r in self.runs])
 
     def mean_measure(self, param, y, which="fractional"):

@@ -35,10 +35,13 @@ _GRID_CHUNK = 1024
 # Rows filled per elementwise pass, so that each pass over a sub-block stays
 # in L2; the fill is elementwise, so this size does not change any value.
 _FILL_ROWS = 32
-# exp(x) is exactly +0.0 for every x below -745.1332...  numpy's vectorized exp
-# takes a slow path for any vector holding an underflowing lane, so such
-# arguments are replaced by 0 before exp and their results by +0.0 after it.
-_EXP_UNDERFLOW = -746.0
+# Below ln(DBL_MIN sqrt(2 pi)) = -707.477479999059433... the pdf is subnormal or
+# +0.0, and each subnormal costs a microcode assist in exp, divide and matmul.
+# Such arguments go to exp as 0 and their results are overwritten with +0.0, so
+# every entry is +0.0 or normal.  This is the smallest double whose exact pdf is
+# normal (the next one down is 4.9e-14 below DBL_MIN = 2.23e-308).  So an output
+# moves by at most sum_b P_b / w_b * 2.23e-308 * max|g_b|, an absolute bound.
+_EXP_UNDERFLOW = -707.4774799990594
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -176,7 +179,7 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
 
 
 def _fill_pdf(out, y, c, w, zbuf, under_buf):
-    """out[i, k] = std_normal_pdf((y[k] - c[i]) / w), bit for bit.
+    """out[i, k] = std_normal_pdf((y[k] - c[i]) / w), bit for bit, or +0.0 where that is subnormal.
 
     The operations and their order are those of ``numkit.std_normal_pdf``;
     ``zbuf`` and ``under_buf`` are scratch space of at least ``out.size``.

@@ -79,7 +79,7 @@ def test_criterion_1_normal_fractional_sensitivities(normal_agg):
     ]:
         ystar = y_at_mean_ccdf(agg, f_target)
         for param, center, rel in probes:
-            mean, _ = agg.mean_measure(param, ystar)
+            mean, _ = agg.mean_measure(param, np.array([ystar]))
             ok = within(mean[0], center, rel)
             checks.append(ok)
             parts.append(f"{param}@F={f_target:g}: {mean[0]:.3f} vs {center}+-{rel:.0%}")
@@ -188,7 +188,7 @@ def test_criterion_4_buckling_equivalences(buckling_agg):
                                 lam0=model.lam0)
         frac_ref = ref.fractional([model.load, model.k2])[0]
         for j, param in enumerate(("load", "k2")):
-            mean, _ = agg.mean_measure(param, ystar)
+            mean, _ = agg.mean_measure(param, np.array([ystar]))
             if not within(mean[0], frac_ref[j], 0.20):
                 sens_ok = False
             parts.append(f"{param}@F={f_target:g}: {mean[0]:+.2f} vs {frac_ref[j]:+.2f}")
@@ -240,7 +240,7 @@ def test_criterion_6_sdof_sensitivity_sanity(sdof_agg, sdof_bench):
     bench_ok = True
     for f_target in (1e-1, 10 ** -1.5, 1e-2):
         ystar = y_at_mean_ccdf(agg, f_target)
-        mean, _ = agg.mean_measure("zeta", ystar)
+        mean, _ = agg.mean_measure("zeta", np.array([ystar]))
         ref = float(np.interp(ystar, bench.y, frac_ref[:, 0]))
         if not within(mean[0], ref, 0.30):
             bench_ok = False
@@ -259,7 +259,7 @@ def test_criterion_7_pile_sensitivities(pile_agg):
     checks, parts = [], []
     mean_f = mean_ccdf(agg, np.array([1.0]))[0]
     for param, center in (("B", 25.0), ("mu", 50.0)):
-        mean, _ = agg.mean_measure(param, 1.0)
+        mean, _ = agg.mean_measure(param, np.array([1.0]))
         ok = within(abs(mean[0]), center, 0.40)
         checks.append(ok)
         parts.append(f"|{param}|@y=1: {abs(mean[0]):.1f} vs {center}+-40%")

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gradsens.cli import _write_csv, main, read_csv, repeat_runs, single_run, thread_count
+from gradsens.cli import (_write_csv, _write_outputs, main, read_csv, repeat_runs, single_run,
+                          thread_count)
 from gradsens.model import ResponseModel
 from gradsens.responses import NormalResponse, PileResponse
 from gradsens.sensest import KernelSpec
@@ -427,6 +428,24 @@ class TestCsvWriter:
         path = tmp_path / "t.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == format_loop_csv(header, columns).encode()
+
+
+class TestSharedCsvColumns:
+    def test_shared_column_objects_keep_the_format_loop_bytes(self, tmp_path):
+        # one array object in every file at a different position, a second shared
+        # by two files, and per-file columns
+        shared, ints, rev = SPECIAL, np.arange(SPECIAL.shape[0]), SPECIAL[::-1]
+        files = {
+            "a.csv": (["s[-]", "r[-]"], [shared, rev]),
+            "b.csv": (["i[-]", "s[-]", "x[-]"], [ints, shared, np.roll(SPECIAL, 3)]),
+            "c.csv": (["x[-]", "i[-]", "s[-]", "s2[-]"], [-SPECIAL, ints, shared, shared]),
+            "d.csv": (["r[-]"], [rev]),
+        }
+        _write_outputs(tmp_path, "test", NormalResponse(), (), files)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == list(files)
+        for name, (header, columns) in files.items():
+            assert (tmp_path / name).read_bytes() == format_loop_csv(header, columns).encode()
 
 
 class TestRepeatApi:

@@ -6,9 +6,9 @@ import scipy.stats
 
 from gradsens.numkit import RngStream, std_normal_pdf
 from gradsens.responses import NormalResponse, build_model
-from gradsens.sensest import (DegenerateResponseError, KernelSpec, fractional_measure,
-                              normalize_curve, response_moments, scott_width,
-                              sensitivity_direct_mc, sensitivity_subsim)
+from gradsens.sensest import (DegenerateResponseError, KernelSpec, _fill_pdf,
+                              fractional_measure, normalize_curve, response_moments,
+                              scott_width, sensitivity_direct_mc, sensitivity_subsim)
 from gradsens.subsim import Bin, BinPartition, CcdfCurve, SsConfig, run_subset_simulation
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
@@ -330,3 +330,25 @@ class TestDenseReference:
         assert np.count_nonzero(arg > -700.0) > 1000
         curve = assert_matches_dense(bins, KernelSpec(width_rule="fixed", width=w), ccdf.y)
         assert np.all(np.isfinite(curve.raw))
+
+
+def test_kernel_fill_has_no_subnormal_entries():
+    """On the narrow fixed-width fixture every kernel entry is +0.0 or a normal
+    double: pairs whose exact pdf is subnormal come out as +0.0, and the others
+    equal ``std_normal_pdf`` bit for bit."""
+    m = NormalResponse()
+    bins, ccdf = run_subset_simulation(m, SsConfig(m=3, p0=0.1, n_per_level=1000, seed=4))
+    w, tiny = 0.02, np.finfo(float).tiny
+    subnormal = 0
+    for b in bins.bins:
+        for lo in range(0, ccdf.y.shape[0], 500):
+            c = ccdf.y[lo : lo + 500]
+            out = np.empty((c.shape[0], b.count))
+            _fill_pdf(out, b.y, c, w, np.empty(out.size), np.empty(out.size, dtype=bool))
+            exact = std_normal_pdf((b.y[None, :] - c[:, None]) / w)
+            assert np.all(out[out != 0.0] >= tiny)
+            flushed = exact < tiny
+            subnormal += np.count_nonzero(flushed & (exact > 0.0))
+            assert np.all(out.view(np.uint64)[flushed] == 0)  # +0.0, sign bit clear
+            assert np.array_equal(out.view(np.uint64)[~flushed], exact.view(np.uint64)[~flushed])
+    assert subnormal > 1000
