@@ -4,7 +4,10 @@ A model maps an i.i.d. standard-normal input vector x to a scalar response y
 and, for each declared sensitivity parameter, the derivative of y with respect
 to that parameter at the same x.  Evaluation is batched: the engine always
 hands the model a float64 (batch, n) array of inputs, which models use as
-given; to evaluate one input, pass x[None].
+given; to evaluate one input, pass x[None].  A block arrives contiguous in C
+or Fortran order.  ``spec.input_order`` names the order a model reads fastest,
+and the CRN reference builds its blocks in it; it is a speed hint only, so a
+model's outputs must not depend on the layout of its input.
 """
 
 from __future__ import annotations
@@ -28,12 +31,15 @@ class ModelSpec:
 
     ``params`` holds every named parameter in declaration order;
     ``sensitivity_params`` names the subset gradients are requested for.
+    ``input_order`` is the memory order, "C" or "F", in which the model reads an
+    input block fastest.
     """
 
     name: str
     input_dim: int
     params: tuple
     sensitivity_params: tuple
+    input_order: str = "C"
 
     def __post_init__(self):
         names = [n for n, _ in self.params]
@@ -44,6 +50,8 @@ class ModelSpec:
             raise ValueError(f"unknown sensitivity parameters: {sorted(unknown)}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
+        if self.input_order not in ("C", "F"):
+            raise ValueError(f"input_order must be 'C' or 'F', not {self.input_order!r}")
 
     def value(self, name: str) -> float:
         for n, v in self.params:

@@ -187,6 +187,7 @@ class SdofResponse(ResponseModel):
                 ("duration", float(duration)),
             ),
             sensitivity_params=("zeta", "omega"),
+            input_order="F",  # the recursion reads one input column per step
         )
 
     def param_unit(self, name):
@@ -309,7 +310,9 @@ class PileResponse(ResponseModel):
     def field(self, x, mu=None):
         """Friction-angle field phi'(z_i) for a (batch, n) input block."""
         mu = self.mu if mu is None else mu
-        return mu * np.exp(self.u_ln + self.s_ln * (x @ self.chol.T))
+        # BLAS picks its kernel for a few rows by layout, and the kernels round
+        # differently, so a Fortran-order block is read as a C-order copy
+        return mu * np.exp(self.u_ln + self.s_ln * (np.ascontiguousarray(x) @ self.chol.T))
 
     def response_batch(self, x, B=None, mu=None):
         B = self.B if B is None else B

@@ -107,6 +107,36 @@ class PassThroughModel(ResponseModel):
         return x[:, 0] + (1.0 if used is None else used)
 
 
+class RecordingModel(ResponseModel):
+    """y = x1 + used over three inputs, keeping every input block it is handed."""
+
+    def __init__(self, order):
+        self.spec = ModelSpec(name="recording", input_dim=3,
+                              params=(("used", 1.0), ("idle", 2.0)),
+                              sensitivity_params=("used", "idle"), input_order=order)
+        self.blocks = []
+
+    def response_batch(self, x, used=None, idle=None):
+        self.blocks.append(x)
+        return x[:, 0] + (1.0 if used is None else used)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+# one partial block; two full blocks, then a partial one ending in a partial chunk
+@pytest.mark.parametrize("n_samples", [8192, 2 * _CRN_BLOCK + 300])
+def test_crn_blocks_in_the_model_order(order, n_samples):
+    model = RecordingModel(order)
+    crn_central_difference(model, n_samples=n_samples, seed=6)
+    draws = RngStream(6).standard_normal((n_samples, 3))
+    starts = range(0, n_samples, _CRN_BLOCK)
+    assert len(model.blocks) == 5 * len(starts)  # base, used +-, idle +-
+    for k, lo in enumerate(starts):
+        x = model.blocks[5 * k]
+        assert all(b is x for b in model.blocks[5 * k:5 * k + 5])
+        assert x.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(x.view(np.uint64), draws[lo:lo + _CRN_BLOCK].view(np.uint64))
+
+
 class TestCrnCentralDifference:
     def test_idle_parameter_cancels_exactly(self):
         res = crn_central_difference(PassThroughModel(), n_samples=5000, seed=1)

@@ -73,6 +73,32 @@ def test_counting_model_wraps_each_builtin_model(tracing, name):
                                             "responses.response_batch"]
 
 
+def test_traced_crn_hands_sdof_fortran_blocks(tracing):
+    # the wrapper keeps the model's input order, so a traced reference job takes
+    # the untraced path
+    inner = build_model("sdof")
+    respond = inner.response_batch
+    layouts = []
+
+    def recording(x, **overrides):
+        layouts.append((x.flags.f_contiguous, x.flags.c_contiguous))
+        return respond(x, **overrides)
+
+    inner.response_batch = recording
+    tracer = tracing.Tracer()
+    model = tracing.CountingModel(inner, tracer)
+    assert model.spec.input_order == "F"
+    tracer.install()
+    try:
+        benchmarks.crn_central_difference(model, n_samples=300, grid_points=8)
+    finally:
+        tracer.uninstall()
+    assert layouts == [(True, False)] * 5
+    names = [s[0] for s in tracer.spans]
+    # 300 rows are drawn in a 256-row chunk and a 44-row one
+    assert names.count("numkit.rng") == 2 and names.count("responses.response_batch") == 5
+
+
 def csv_bytes(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.glob("*.csv"))}
 
