@@ -27,7 +27,11 @@ from .numkit import NumericalError
 from .responses import MODEL_BUILDERS, build_model
 from .sensest import (DegenerateResponseError, KernelSpec, SensitivityCurve, normalize_curve,
                       sensitivity_subsim)
-from .subsim import SsConfig, run_subset_simulation
+from .subsim import SsConfig, run_lockstep, run_subset_simulation
+
+# Candidate rows per chain step of a lockstep group in ``repeat_runs``: about
+# where sdof's per-row cost bottoms out, 10 runs at the default 100 chains.
+_GROUP_ROWS = 1000
 
 
 def _unit_inv(unit: str) -> str:
@@ -97,9 +101,14 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
     """One SS run with the sensitivity curve evaluated at all sample values."""
     t0 = time.perf_counter()
     bins, ccdf = run_subset_simulation(model, config)
-    curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y)
-    curve = normalize_curve(curve, ccdf, model.spec)
+    curve = _estimate(model, kernel, bins, ccdf)
     return RunResult(bins=bins, curve=curve, wall_time_s=time.perf_counter() - t0)
+
+
+def _estimate(model, kernel, bins, ccdf) -> SensitivityCurve:
+    """A run's normalized sensitivity curve at all of its sample values."""
+    curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y)
+    return normalize_curve(curve, ccdf, model.spec)
 
 
 def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
@@ -133,9 +142,8 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
 # repeated runs
 
 
-def _collapse(result: RunResult) -> SensitivityCurve:
-    """The run's curve cut down to its unique thresholds, ready for interpolation."""
-    c = result.curve
+def _collapse(c: SensitivityCurve) -> SensitivityCurve:
+    """A run's curve cut down to its unique thresholds, ready for interpolation."""
     y, idx = np.unique(c.y, return_index=True)
     return replace(c, y=y, raw=c.raw[idx], ccdf=c.ccdf[idx])
 
@@ -185,9 +193,12 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
                 grid_points: int = 200) -> RepeatResult:
     """One run per seed (at least 2, distinct), aggregated onto a fixed threshold grid.
 
-    The model is shared read-only across ``thread_count()`` workers; results
-    are reduced in seed order, so the output is invariant to the worker count.
-    The grid is placed at quantiles of the first run's pooled sample values.
+    The seeds run in lockstep groups of ``max(1, _GROUP_ROWS // n_chains)`` on the
+    calling thread; each finished run's kernel estimate goes to a pool of
+    ``thread_count()`` workers that share the model read-only.  Results are
+    reduced in seed order, so the output is invariant to the worker count and
+    the grouping.  The grid is placed at quantiles of the first run's pooled
+    sample values.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
@@ -197,15 +208,26 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     if grid_points < 2:
         raise ConfigError(f"grid_points={grid_points}: needs at least 2")
     t0 = time.perf_counter()
+    configs = [replace(config, seed=seed) for seed in seeds]
+    size = max(1, _GROUP_ROWS // config.n_chains)
 
-    def one(seed):
-        return single_run(model, replace(config, seed=seed), kernel)
+    def finish(bins, ccdf):
+        return _collapse(_estimate(model, kernel, bins, ccdf))
 
+    pending = []
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        results = list(pool.map(one, seeds))
-    grid = np.unique(np.quantile(results[0].curve.y, np.linspace(0.0, 1.0, grid_points)))
-    return RepeatResult(grid=grid, runs=[_collapse(r) for r in results], seeds=seeds,
-                        wall_time_s=time.perf_counter() - t0)
+        for i in range(0, len(configs), size):
+            try:
+                group = run_lockstep(model, configs[i : i + size])
+            except Exception:
+                for run in pending:  # the failure of an earlier run is reported first
+                    run.result()
+                raise
+            if i == 0:
+                grid = np.unique(np.quantile(group[0][1].y, np.linspace(0.0, 1.0, grid_points)))
+            pending += [pool.submit(finish, bins, ccdf) for bins, ccdf in group]
+        runs = [run.result() for run in pending]
+    return RepeatResult(grid=grid, runs=runs, seeds=seeds, wall_time_s=time.perf_counter() - t0)
 
 
 def thread_count() -> int:

@@ -32,7 +32,9 @@ class ModelSpec:
     ``params`` holds every named parameter in declaration order;
     ``sensitivity_params`` names the subset gradients are requested for.
     ``input_order`` is the memory order, "C" or "F", in which the model reads an
-    input block fastest.
+    input block fastest.  ``rows_independent`` declares that the outputs for a
+    row are the same bits in every block of 2 rows or more that holds it, so
+    the engine may stack the chain candidates of several runs into one call.
     """
 
     name: str
@@ -40,6 +42,7 @@ class ModelSpec:
     params: tuple
     sensitivity_params: tuple
     input_order: str = "C"
+    rows_independent: bool = False
 
     def __post_init__(self):
         names = [n for n, _ in self.params]
@@ -52,6 +55,8 @@ class ModelSpec:
             raise ValueError("input_dim must be positive")
         if self.input_order not in ("C", "F"):
             raise ValueError(f"input_order must be 'C' or 'F', not {self.input_order!r}")
+        if not isinstance(self.rows_independent, bool):
+            raise ValueError(f"rows_independent must be a bool, not {self.rows_independent!r}")
 
     def value(self, name: str) -> float:
         for n, v in self.params:

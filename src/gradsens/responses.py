@@ -35,6 +35,7 @@ class NormalResponse(ResponseModel):
             input_dim=2,
             params=(("loc", self.loc), ("scale", self.scale), ("mix", self.mix)),
             sensitivity_params=("loc", "scale", "mix"),
+            rows_independent=True,
         )
 
     def _coeff(self, scale, mix):
@@ -113,6 +114,7 @@ class BucklingResponse(ResponseModel):
                 ("load_cov", float(load_cov)),
             ),
             sensitivity_params=("load", "k2"),
+            rows_independent=True,
         )
 
     def param_unit(self, name):
@@ -188,6 +190,7 @@ class SdofResponse(ResponseModel):
             ),
             sensitivity_params=("zeta", "omega"),
             input_order="F",  # the recursion reads one input column per step
+            rows_independent=True,  # from 2 rows on: one row is a matrix-vector product
         )
 
     def param_unit(self, name):
@@ -302,6 +305,8 @@ class PileResponse(ResponseModel):
                 ("corr_length", float(corr_length)),
             ),
             sensitivity_params=("B", "mu"),
+            # the field's product rounds by the block's row count (its GEMM remainder rows)
+            rows_independent=False,
         )
 
     def param_unit(self, name):

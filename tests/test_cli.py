@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -241,6 +242,21 @@ class TestCmdRepeat:
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert man["seeds"] == [4, 9]
         assert "base_seed" not in man
+
+    def test_nan_model_output_exit_3(self, tmp_path, capsys, monkeypatch):
+        # level 0 takes the analytic ``evaluate_batch``; the chain steps of the
+        # three runs go to the faulty ``response_batch`` in one stacked call
+        import gradsens.cli as climod
+
+        model = FaultyNormal("nan")
+        model.eager_gradients = False
+        monkeypatch.setattr(climod, "build_model", lambda name: model)
+        rc = main(["repeat", "--model", "normal", "--runs", "3", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "model error" in err
+        assert re.search(r"[0-9]+ of 100 rows at level 1 \(seed 0\)$", err.strip()), err
+        assert not (tmp_path / "out").exists()
 
     def test_single_run_rejected(self, tmp_path):
         rc = main(["repeat", "--model", "normal", "--runs", "1",

@@ -183,6 +183,11 @@ def test_model_spec_validation():
     with pytest.raises(ValueError, match="input_order"):
         ModelSpec(name="order", input_dim=1, params=(("a", 1.0),),
                   sensitivity_params=("a",), input_order="A")
+    with pytest.raises(ValueError, match="rows_independent"):
+        ModelSpec(name="rows", input_dim=1, params=(("a", 1.0),),
+                  sensitivity_params=("a",), rows_independent=1)
+    assert not ModelSpec(name="plain", input_dim=1, params=(("a", 1.0),),
+                         sensitivity_params=("a",)).rows_independent
 
 
 def bits(a):
@@ -204,3 +209,33 @@ def test_outputs_do_not_depend_on_input_layout(name):
                                   bits(model.response_batch(xf, **kw))), (rows, kw)
         for got_c, got_f in zip(model.evaluate_batch(xc), model.evaluate_batch(xf)):
             assert np.array_equal(bits(got_c), bits(got_f)), rows
+
+
+ROW_COUNTS = (1, 2, 3, 6, 7, 15, 31, 50, 99, 333)
+
+
+def row_counts_that_round_differently(model):
+    """The ``ROW_COUNTS`` k at which the first k rows of a 1200-row block, given
+    alone, change any bit of ``response_batch`` or ``evaluate_batch``."""
+    x = RngStream(12).standard_normal((1200, model.spec.input_dim))
+    full = (model.response_batch(x), *model.evaluate_batch(x))
+    differ = []
+    for k in ROW_COUNTS:
+        part = (model.response_batch(x[:k]), *model.evaluate_batch(x[:k]))
+        if any(not np.array_equal(bits(got), bits(want[:k])) for got, want in zip(part, full)):
+            differ.append(k)
+    return differ
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_rows_independent_declaration(name):
+    # a model that declares ``rows_independent`` gives the same bits for a row in
+    # every block of 2 rows or more, which lets the engine stack runs' chain steps
+    model = build_model(name)
+    differ = row_counts_that_round_differently(model)
+    if model.spec.rows_independent:
+        # sdof takes numpy's matrix-vector path at 1 row, and may round differently there
+        assert set(differ) <= {1}, differ
+    # with this OpenBLAS, pile's field product rounds by the block's row count at
+    # every k here (its GEMM remainder rows), so it must not declare independence
+    assert model.spec.rows_independent == (name != "pile")

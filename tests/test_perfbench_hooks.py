@@ -64,6 +64,8 @@ def test_counting_model_wraps_each_builtin_model(tracing, name):
     for attr in ("spec", "eager_gradients", "analytic_gradients", "fd_rel_step",
                  "response_unit"):
         assert getattr(model, attr) == getattr(inner, attr)
+    # the engine reads the stacking declaration from ``spec``, which the wrapper copies
+    assert model.spec.rows_independent is inner.spec.rows_independent is (name != "pile")
     x = numkit.RngStream(3).standard_normal((4, inner.spec.input_dim))
     y, g = model.evaluate_batch(x)
     y_ref, g_ref = inner.evaluate_batch(x)
@@ -121,3 +123,22 @@ def test_traced_run_writes_the_untraced_bytes(tracing, tmp_path):
     assert metrics["sensest.pairs"] > 0
     # the workloads check their outputs with ``cli.read_csv``
     assert cli.read_csv(tmp_path / "traced" / "ccdf.csv")["ccdf[-]"].shape == (600,)
+
+
+@pytest.mark.parametrize("model", ["sdof", "pile"])
+def test_traced_repeat_writes_the_untraced_bytes(tracing, tmp_path, model):
+    # ``repeat`` reaches the lockstep engine through ``cli.run_lockstep``, which the
+    # tracer leaves alone, so its ``subsim.run`` wrapper never sees a list of runs
+    argv = ["repeat", "--model", model, "--runs", "2", "--n", "200", "--m", "3",
+            "--p0", "0.1", "--seed", "5", "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain")]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv + [str(tmp_path / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    plain = csv_bytes(tmp_path / "plain")
+    assert plain and csv_bytes(tmp_path / "traced") == plain
+    names = {s[0] for s in tracer.spans}
+    assert "subsim.run" not in names and "sensest.kernel" in names

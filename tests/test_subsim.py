@@ -1,14 +1,18 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from gradsens.model import ModelDomainError, ModelSpec, ResponseModel
+from gradsens import cli
+from gradsens.model import ConfigError, ModelDomainError, ModelSpec, ResponseModel
 from gradsens.numkit import RngStream
-from gradsens.responses import NormalResponse, build_model
+from gradsens.responses import MODEL_BUILDERS, NormalResponse, build_model
+from gradsens.sensest import KernelSpec
 from gradsens.subsim import (SsConfig, ThresholdTieWarning, _advance_chains, correlation_param,
-                             run_subset_simulation)
+                             run_lockstep, run_subset_simulation)
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 
@@ -77,12 +81,14 @@ def chain_state(model, x):
 
 
 def advance(model, state, threshold, a, streams, steps=1):
-    """``steps`` conditional-sampling steps of the engine on ``state`` in place."""
-    x, y, g = state
+    """``steps`` conditional-sampling steps of the engine on ``state`` in place,
+    as the chains of one run (seed 0)."""
+    x, y, g = (v[None] for v in state)
     s = math.sqrt(1.0 - a * a)
     for _ in range(steps):
-        acc = _advance_chains(model, x, y, g, threshold, a, s, streams, level=1)
-    return acc
+        acc = _advance_chains(model, x, y, g, np.array([threshold]), a, s, streams, level=1,
+                              seeds=(0,), calls=[slice(0, 1)])
+    return acc[0]
 
 
 class TestMcmcStep:
@@ -224,7 +230,8 @@ class TestMisshapenOutput:
     ])
     def test_raises_at_level(self, bad_call, where, eager, level):
         model = MisshapenModel(bad_call, where, eager)
-        with pytest.raises(ModelDomainError, match=f"model returned shapes .* at level {level}$"):
+        with pytest.raises(ModelDomainError,
+                           match=fr"model returned shapes .* at level {level} \(seed 1\)$"):
             run_subset_simulation(model, SsConfig(m=2, p0=0.1, n_per_level=200, seed=1))
 
 
@@ -240,7 +247,8 @@ class TestNonFiniteOutput:
     ])
     def test_raises_at_level(self, bad_call, value, where, eager, level):
         model = FaultyModel(bad_call, value, where, eager)
-        with pytest.raises(ModelDomainError, match=f"1 of [0-9]+ rows at level {level}$"):
+        with pytest.raises(ModelDomainError,
+                           match=fr"1 of [0-9]+ rows at level {level} \(seed 1\)$"):
             run_subset_simulation(model, SsConfig(m=2, p0=0.1, n_per_level=200, seed=1))
 
 
@@ -339,3 +347,130 @@ class TestRunSubsetSimulation:
         _, c1 = run_subset_simulation(m, SsConfig(**DEFAULT, seed=1))
         _, c2 = run_subset_simulation(m, SsConfig(**DEFAULT, seed=2))
         assert not np.array_equal(c1.y, c2.y)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_bits(run, solo):
+    """Thresholds, bins and CCDF of two (partition, CCDF) results agree bit for bit."""
+    (bins, ccdf), (bins0, ccdf0) = run, solo
+    assert np.array_equal(bits(bins.thresholds), bits(bins0.thresholds))
+    assert len(bins.bins) == len(bins0.bins)
+    for b, b0 in zip(bins.bins, bins0.bins):
+        for got, want in ((b.y, b0.y), (b.g, b0.g), (b.probability, b0.probability)):
+            assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(ccdf.y), bits(ccdf0.y))
+    assert np.array_equal(bits(ccdf.f), bits(ccdf0.f))
+
+
+@pytest.fixture(scope="module")
+def models():
+    return {name: build_model(name) for name in MODEL_BUILDERS}
+
+
+class NanRowsNormal(NormalResponse):
+    """The normal model with NaN responses in ``rows`` of every batch from
+    ``evaluate_batch`` call ``bad_call`` on (1 is the first level-0 call)."""
+
+    def __init__(self, bad_call, rows):
+        super().__init__()
+        self.bad_call, self.rows, self.calls = bad_call, rows, 0
+
+    def evaluate_batch(self, x):
+        self.calls += 1
+        y, g = super().evaluate_batch(x)
+        if self.calls >= self.bad_call:
+            y[self.rows] = np.nan
+        return y, g
+
+
+class TestLockstep:
+    """Runs advanced together in ``run_lockstep`` give the bits of their solo runs."""
+
+    SEEDS = (5, 6, 7)
+
+    @pytest.mark.parametrize("name, config", [
+        *[(name, DEFAULT) for name in sorted(MODEL_BUILDERS)],
+        *[(name, dict(m=4, p0=0.2, n_per_level=500)) for name in sorted(MODEL_BUILDERS)],
+        # pile's field product rounds by row count, so its chain calls stay per run
+        ("pile", dict(m=3, p0=0.1, n_per_level=20)),
+        ("pile", dict(m=3, p0=0.1, n_per_level=500)),
+        # one chain per run: a 1-row sdof block rounds differently, so no stacking
+        ("sdof", dict(m=3, p0=0.1, n_per_level=10)),
+    ])
+    def test_groups_match_solo_runs(self, models, name, config):
+        model = models[name]
+        configs = [SsConfig(**config, seed=seed) for seed in self.SEEDS]
+        solo = [run_subset_simulation(model, c) for c in configs]
+        for size in (1, 2, 3):
+            group = run_lockstep(model, configs[:size])
+            assert len(group) == size
+            for run, want in zip(group, solo):
+                assert_same_bits(run, want)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_repeat_across_a_group_boundary(self, models, name, monkeypatch):
+        groups = []
+
+        def spy(model, configs):
+            groups.append([c.seed for c in configs])
+            return run_lockstep(model, configs)
+
+        monkeypatch.setattr(cli, "run_lockstep", spy)
+        monkeypatch.setattr(cli, "_GROUP_ROWS", 200)  # 2 runs of 100 chains per group
+        model, kernel = models[name], KernelSpec()
+        config = SsConfig(**DEFAULT)
+        agg = cli.repeat_runs(model, config, kernel, self.SEEDS)
+        assert groups == [[5, 6], [7]]
+        for seed, curve in zip(self.SEEDS, agg.runs):
+            want = cli._collapse(cli.single_run(model, dataclasses.replace(config, seed=seed),
+                                                kernel).curve)
+            for got, ref in ((curve.y, want.y), (curve.raw, want.raw), (curve.ccdf, want.ccdf)):
+                assert np.array_equal(bits(got), bits(ref))
+
+    def test_tie_warnings_as_often_as_solo_runs(self):
+        model = StaircaseModel()
+        model.spec = dataclasses.replace(model.spec, rows_independent=True)
+        configs = [SsConfig(m=3, p0=0.1, n_per_level=200, seed=seed) for seed in self.SEEDS]
+
+        def with_ties(runs):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                results = runs()
+            return results, sum(issubclass(w.category, ThresholdTieWarning) for w in record)
+
+        solo, solo_ties = with_ties(lambda: [run_subset_simulation(model, c) for c in configs])
+        group, group_ties = with_ties(lambda: run_lockstep(model, configs))
+        assert solo_ties >= len(configs)
+        assert group_ties == solo_ties
+        for run, want in zip(group, solo):
+            assert_same_bits(run, want)
+
+    @pytest.mark.parametrize("bad_call, rows, message", [
+        (2, [5], r"1 of 200 rows at level 0 \(seed 7\)$"),
+        (3, [0], r"1 of 20 rows at level 1 \(seed 4\)$"),
+        # rows 20 to 39 of a stacked chain step are the second run's
+        (3, [20, 21, 22], r"3 of 20 rows at level 1 \(seed 7\)$"),
+    ])
+    def test_fault_names_the_run_and_counts_its_rows(self, bad_call, rows, message):
+        configs = [SsConfig(m=2, p0=0.1, n_per_level=200, seed=seed) for seed in (4, 7)]
+        with pytest.raises(ModelDomainError, match=message):
+            run_lockstep(NanRowsNormal(bad_call, rows), configs)
+
+    def test_misshapen_stacked_call_names_the_first_run(self):
+        class ColumnNormal(NanRowsNormal):
+            def evaluate_batch(self, x):
+                y, g = super().evaluate_batch(x)
+                return (y[:, None] if self.calls >= self.bad_call else y), g
+
+        configs = [SsConfig(m=2, p0=0.1, n_per_level=200, seed=seed) for seed in (4, 7)]
+        with pytest.raises(ModelDomainError,
+                           match=r"shapes \(20, 1\) and \(20, 3\) for 20 rows .* at level 1 "
+                                 r"\(seed 4\)$"):
+            run_lockstep(ColumnNormal(3, []), configs)
+
+    def test_configs_may_differ_only_in_seed(self):
+        with pytest.raises(ConfigError, match="differ only in their seed"):
+            run_lockstep(NormalResponse(), [SsConfig(seed=1), SsConfig(seed=2, m=2)])
