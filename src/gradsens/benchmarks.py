@@ -83,6 +83,11 @@ def analytic_buckling(y_grid, load=100.0, k2=250.0, *, stiffness=250.0, height=3
                            provenance="analytic")
 
 
+def _check_samples(n_samples, y_grid=None):
+    if n_samples < 1 or (y_grid is None and n_samples < 10):
+        raise ConfigError(f"n_samples={n_samples}: needs 1, or 10 without a y_grid")
+
+
 def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
                            rel_step=0.01, seed=0, y_grid=None,
                            grid_points=256) -> BenchmarkResult:
@@ -94,8 +99,7 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     is given, one is placed at log-spaced exceedance quantiles of the base run,
     down to the level 10 / n_samples, so at least 10 samples are needed then.
     """
-    if n_samples < 1 or (y_grid is None and n_samples < 10):
-        raise ConfigError(f"n_samples={n_samples}: needs 1, or 10 without a y_grid")
+    _check_samples(n_samples, y_grid)
     params = tuple(params or model.spec.sensitivity_params)
     steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
@@ -114,7 +118,7 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
             x[r:r + _CRN_CHUNK] = stream.standard_normal((min(_CRN_CHUNK, hi - lo - r), n_dim))
         for k, kw in enumerate(overrides):
             y = model.response_batch(x, **kw)
-            _check_finite(f"in CRN rows {lo}-{hi} with overrides {kw}", hi - lo, len(params), y)
+            _check_finite([f"in CRN rows {lo}-{hi} with overrides {kw}"], hi - lo, len(params), y)
             out[k, lo:hi] = y
     base, moved = out[0], out[1:].reshape(len(params), 2, n_samples)
     base.sort()
@@ -161,9 +165,12 @@ def _analytic_reference(model, grid_points):
 
 def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
                   grid_points=256) -> BenchmarkResult:
-    """Analytic references when the model has them, CRN differences otherwise."""
+    """Analytic references when the model has them, CRN differences otherwise;
+    either way, the CRN's sample count and step rules apply."""
     if grid_points < 2:
         raise ConfigError(f"grid_points={grid_points}: needs at least 2")
+    _check_samples(n_samples)
+    central_steps(1.0, rel_step)
     if model.spec.name in ("normal", "buckling"):
         return _analytic_reference(model, grid_points)
     return crn_central_difference(model, params=params, n_samples=n_samples,

@@ -142,12 +142,6 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
 # repeated runs
 
 
-def _collapse(c: SensitivityCurve) -> SensitivityCurve:
-    """A run's curve cut down to its unique thresholds, ready for interpolation."""
-    y, idx = np.unique(c.y, return_index=True)
-    return replace(c, y=y, raw=c.raw[idx], ccdf=c.ccdf[idx])
-
-
 def _mean_std(vals):
     """Mean and sample std (ddof=1) over runs (axis 0), ignoring NaN.
 
@@ -208,17 +202,18 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     if grid_points < 2:
         raise ConfigError(f"grid_points={grid_points}: needs at least 2")
     t0 = time.perf_counter()
-    configs = [replace(config, seed=seed) for seed in seeds]
     size = max(1, _GROUP_ROWS // config.n_chains)
 
     def finish(bins, ccdf):
-        return _collapse(_estimate(model, kernel, bins, ccdf))
+        """The run's curve at its unique thresholds, ready for interpolation."""
+        y, first = np.unique(ccdf.y, return_index=True)
+        return _estimate(model, kernel, bins, replace(ccdf, y=y, f=ccdf.f[first]))
 
     pending = []
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        for i in range(0, len(configs), size):
+        for i in range(0, len(seeds), size):
             try:
-                group = run_lockstep(model, configs[i : i + size])
+                group = run_lockstep(model, config, seeds[i : i + size])
             except Exception:
                 for run in pending:  # the failure of an earlier run is reported first
                     run.result()

@@ -102,20 +102,25 @@ class ResponseModel:
 
 
 def _check_finite(where, rows, npar, y, g=None):
-    """Reject a model batch for ``rows`` inputs whose response is not of shape
-    (rows,), whose gradient is not of shape (rows, npar), or which holds a NaN
-    or infinite value; ``where`` ends the error message."""
-    if y.shape != (rows,) or (g is not None and g.shape != (rows, npar)):
-        got = f"{y.shape}" if g is None else f"{y.shape} and {g.shape}"
-        raise ModelDomainError(f"model returned shapes {got} for {rows} rows and {npar} "
-                               f"sensitivity parameters {where}")
+    """Reject one model call over stacked blocks of ``rows`` inputs, one per label
+    in ``where``, if a response or gradient has the wrong shape or is not finite.
+    The message ends with the label of the first block for a wrong shape, or of
+    the first block with a non-finite row, counted over that block's rows."""
+    total = len(where) * rows
+    if y.shape != (total,) or (g is not None and g.shape != (total, npar)):
+        out = [a for a in (y, g) if a is not None]
+        if all(a.shape[:1] == (total,) for a in out):  # whole blocks: show the first
+            out, total = [a[:rows] for a in out], rows
+        raise ModelDomainError(f"model returned shapes {' and '.join(str(a.shape) for a in out)}"
+                               f" for {total} rows and {npar} sensitivity parameters {where[0]}")
     bad = ~np.isfinite(y)
     if g is not None:
         bad |= ~np.isfinite(g).all(axis=1)
-    n_bad = int(np.count_nonzero(bad))
-    if n_bad:
-        raise ModelDomainError(f"model returned non-finite output for {n_bad} of "
-                               f"{y.shape[0]} rows {where}")
+    if bad.any():
+        blocks = bad.reshape(len(where), rows)
+        k = int(blocks.any(axis=1).argmax())
+        raise ModelDomainError(f"model returned non-finite output for "
+                               f"{np.count_nonzero(blocks[k])} of {rows} rows {where[k]}")
 
 
 def central_steps(value: float, rel_step: float):

@@ -58,22 +58,21 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.width_rule not in ("scott", "scott-global", "fixed"):
-            raise ConfigError(f"unknown width rule {self.width_rule!r}")
+            raise ConfigError(f"width rule {self.width_rule!r}: not scott, scott-global or fixed")
         if self.width_rule == "fixed" and not (self.width and 0.0 < self.width < math.inf):
             raise ConfigError("fixed width rule needs a finite positive width")
+        if self.width_rule != "fixed" and self.width is not None:
+            raise ConfigError(f"the {self.width_rule} width rule takes no width")
 
     @classmethod
     def parse(cls, width: str) -> "KernelSpec":
         """Parse CLI-style width spec: 'scott', 'scott-global' or 'fixed:<w>'."""
-        if width in ("scott", "scott-global"):
-            return cls(width_rule=width)
-        if width.startswith("fixed:"):
-            try:
-                w = float(width.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"fixed width must be a number, got {width!r}") from None
-            return cls(width_rule="fixed", width=w)
-        raise ConfigError(f"width must be 'scott', 'scott-global' or 'fixed:<w>', got {width!r}")
+        rule, sep, w = width.partition(":")
+        try:
+            value = float(w) if sep else None
+        except ValueError:
+            raise ConfigError(f"kernel width must be a number, got {width!r}") from None
+        return cls(width_rule=rule, width=value)
 
 
 @dataclass

@@ -12,7 +12,7 @@ Samples are grouped into threshold bins: bin i holds the level-i records not
 promoted to seeds (exactly (1-p0)N of them), carrying probability
 p0^i (1-p0); the last bin holds all N top-level records with probability
 p0^(m-1).  Candidate batches are evaluated per step in chain order.
-``run_lockstep`` advances a group of runs that differ only in their seed
+``run_lockstep`` advances the runs of one configuration at a group of seeds
 together; a run is bit-reproducible from its seed alone, independent of
 thread count and of the group it ran in.
 """
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ModelDomainError, ResponseModel, _check_finite
+from .model import ConfigError, ResponseModel, _check_finite
 from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
@@ -129,30 +129,14 @@ def correlation_param(i: int, p0: float):
     return a, math.sqrt(1.0 - a * a)
 
 
-def _check_runs(level, seeds, rows, npar, y, g=None):
-    """``_check_finite`` on one model call over ``rows`` inputs of each run of
-    ``seeds``, stacked in that order.  A fault is charged to the first run whose
-    block holds it and counted over that run's rows."""
-    label = "seed" if len(seeds) == 1 else "seeds"
-    where = f"at level {level} ({label} {', '.join(map(str, seeds))})"
-    try:
-        _check_finite(where, rows * len(seeds), npar, y, g)
-    except ModelDomainError:
-        if len(seeds) > 1 and y.ndim and (g is None or g.ndim):
-            for k, seed in enumerate(seeds):
-                block = slice(k * rows, (k + 1) * rows)
-                _check_runs(level, seeds[k : k + 1], rows, npar, y[block],
-                            None if g is None else g[block])
-        raise
-
-
-def _advance_chains(model, x, y, g, b, a, s, streams, level, seeds, calls):
+def _advance_chains(model, x, y, g, b, a, s, streams, where, calls):
     """One synchronous step of every chain of a group of runs, in place.
 
     ``x``, ``y`` and ``g`` hold the chain states as (runs, chains, ...) arrays,
-    ``b`` the runs' thresholds and ``streams`` one stream per chain, run by run.
-    Each slice of runs in ``calls`` has its candidates evaluated in one model
-    call; deferred gradients are one call per run.  Returns the accept mask.
+    ``b`` the runs' thresholds, ``streams`` one stream per chain, run by run, and
+    ``where`` the runs' error labels.  Each slice of runs in ``calls`` has its
+    candidates evaluated in one model call; deferred gradients are one call per
+    run.  Returns the accept mask.
     """
     runs, nc, n = x.shape
     npar = g.shape[2]
@@ -161,45 +145,25 @@ def _advance_chains(model, x, y, g, b, a, s, streams, level, seeds, calls):
         row[...] = stream.standard_normal(n)
     xc = a * x + s * z
     yc, gc = np.empty((runs, nc)), np.empty((runs, nc, npar))
+    eager = model.eager_gradients
     for part in calls:
         xb = xc[part].reshape(-1, n)
-        if model.eager_gradients:
-            yb, gb = model.evaluate_batch(xb)
-            _check_runs(level, seeds[part], nc, npar, yb, gb)
-            gc[part] = gb.reshape(-1, nc, npar)
-        else:
-            yb = model.response_batch(xb)
-            _check_runs(level, seeds[part], nc, npar, yb)
+        yb, gb = model.evaluate_batch(xb) if eager else (model.response_batch(xb), None)
+        _check_finite(where[part], nc, npar, yb, gb)
         yc[part] = yb.reshape(-1, nc)
+        if eager:
+            gc[part] = gb.reshape(-1, nc, npar)
     acc = yc >= b[:, None]
-    if not model.eager_gradients:
-        for k, seed in enumerate(seeds):
-            kept = acc[k]
+    if not eager:
+        for k, kept in enumerate(acc):
             if kept.any():
                 gk = model.gradient_batch(xc[k][kept])
-                _check_runs(level, (seed,), int(np.count_nonzero(kept)), npar, yc[k][kept], gk)
+                _check_finite(where[k : k + 1], int(np.count_nonzero(kept)), npar, yc[k][kept], gk)
                 gc[k][kept] = gk
     x[acc] = xc[acc]
     y[acc] = yc[acc]
     g[acc] = gc[acc]
     return acc
-
-
-def _split_level(x, y, g, nc, level, p0):
-    """The threshold, the indices of the ``nc`` chain seeds and the bin of the
-    rest for one run's level ``level - 1`` samples."""
-    order = np.lexsort((np.arange(y.shape[0]), -y))
-    b = float(y[order[nc - 1]])
-    top, rest = order[:nc], order[nc:]
-    # a rejected move repeats its state, so count distinct inputs only
-    n_tied = len({row.tobytes() for row in x[top[y[top] == b]]})
-    if n_tied > max(1, 0.01 * nc):
-        warnings.warn(
-            f"more than 1% of level-{level} seeds are distinct inputs tied at the threshold",
-            ThresholdTieWarning,
-            stacklevel=5,
-        )
-    return b, top, Bin(y=y[rest], g=g[rest], probability=p0 ** (level - 1) * (1.0 - p0))
 
 
 def run_subset_simulation(model: ResponseModel, config: SsConfig):
@@ -211,13 +175,13 @@ def run_subset_simulation(model: ResponseModel, config: SsConfig):
     response or gradient, or one of the wrong shape, raises ``ModelDomainError``
     naming the level and the seed, before it can reach a threshold or a bin.
     """
-    return run_lockstep(model, [config])[0]
+    return run_lockstep(model, config, (config.seed,))[0]
 
 
-def run_lockstep(model: ResponseModel, configs) -> list:
-    """The runs of ``configs``, which may differ only in ``seed``, advanced level
-    by level and chain step by chain step together: one (partition, CCDF) per
-    config, each bit-equal to ``run_subset_simulation(model, config)``.
+def run_lockstep(model: ResponseModel, config: SsConfig, seeds) -> list:
+    """The runs of ``config`` at each of ``seeds`` (``config.seed`` is not read),
+    advanced level by level and chain step by chain step together: one
+    (partition, CCDF) per seed, each bit-equal to ``run_subset_simulation`` at it.
 
     Level 0 and deferred gradients are one model call per run.  A chain step
     evaluates the candidates of every run in one call, each row against its
@@ -225,10 +189,6 @@ def run_lockstep(model: ResponseModel, configs) -> list:
     has at least 2 chains (a 1-row block may round differently); otherwise it
     makes one call per run.
     """
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ConfigError("runs advanced together may differ only in their seed")
-    seeds = tuple(c.seed for c in configs)
     runs = len(seeds)
     N, m, p0 = config.n_per_level, config.m, config.p0
     nc, clen = config.n_chains, config.chain_len
@@ -237,52 +197,54 @@ def run_lockstep(model: ResponseModel, configs) -> list:
     calls = ([slice(0, runs)] if model.spec.rows_independent and nc >= 2
              else [slice(k, k + 1) for k in range(runs)])
     roots = [RngStream(seed) for seed in seeds]
-    levels_y = [[] for _ in seeds]
-    thresholds = [[] for _ in seeds]
-    bins = [[] for _ in seeds]
+    levels_y, thresholds, bins = ([[] for _ in seeds] for _ in range(3))
+    heads = [None] * runs  # per run, copies of the next level's chain seeds
 
-    def settle(k, level, x, y, g):
-        """Record run k's finished level; return the next level's chain heads,
-        copies, so that the level's inputs can be freed at once."""
-        levels_y[k].append(y)
-        if level == m - 1:
-            bins[k].append(Bin(y=y, g=g, probability=p0 ** (m - 1)))
-            return None
-        b, top, bin_ = _split_level(x, y, g, nc, level + 1, p0)
-        thresholds[k].append(b)
-        bins[k].append(bin_)
-        return x[top], y[top], g[top]
+    for level in range(m):
+        where = [f"at level {level} (seed {seed})" for seed in seeds]
+        if level:
+            b = np.array([t[-1] for t in thresholds])
+            # free the previous level's states, and views of them, before allocating
+            # this level's; row t * nc + c of a run's level is step t of chain c
+            xs = gs = x = g = None
+            xs, ys, gs = (np.empty((runs, clen) + h.shape, h.dtype) for h in heads[0])
+            for k, head in enumerate(heads):
+                xs[k, 0], ys[k, 0], gs[k, 0] = head
+            a, s = correlation_param(level, p0)
+            streams = [root.split(_chain_stream(level, c)) for root in roots for c in range(nc)]
+            for t in range(1, clen):
+                xs[:, t], ys[:, t], gs[:, t] = xs[:, t - 1], ys[:, t - 1], gs[:, t - 1]
+                _advance_chains(model, xs[:, t], ys[:, t], gs[:, t], b, a, s, streams, where,
+                                calls)
+        # each run's level is split as soon as it is done, so that one run's level-0
+        # inputs are freed before the next run's are drawn
+        for k, root in enumerate(roots):
+            if level:
+                x, y, g = xs[k].reshape(N, n), ys[k].reshape(N), gs[k].reshape(N, npar)
+            else:
+                x = root.split(_LEVEL0_STREAM).standard_normal((N, n))
+                y, g = model.evaluate_batch(x)
+                _check_finite(where[k : k + 1], N, npar, y, g)
+            levels_y[k].append(y)
+            rest = slice(None)  # the last level is one bin
+            if level < m - 1:
+                order = np.lexsort((np.arange(N), -y))
+                top, rest = order[:nc], order[nc:]
+                bk = float(y[top[-1]])
+                # a rejected move repeats its state, so count distinct inputs only
+                if len({row.tobytes() for row in x[top[y[top] == bk]]}) > max(1, 0.01 * nc):
+                    # stacklevel 3 names the caller of run_subset_simulation or repeat_runs
+                    warnings.warn(f"more than 1% of level-{level + 1} seeds are distinct inputs "
+                                  "tied at the threshold", ThresholdTieWarning, stacklevel=3)
+                thresholds[k].append(bk)
+                heads[k] = x[top], y[top], g[top]
+            bins[k].append(Bin(y=y[rest], g=g[rest],
+                               probability=p0**level * (1.0 - p0 if level < m - 1 else 1.0)))
 
-    heads = []
-    for k, (root, seed) in enumerate(zip(roots, seeds)):
-        x = root.split(_LEVEL0_STREAM).standard_normal((N, n))
-        y, g = model.evaluate_batch(x)
-        _check_runs(0, (seed,), N, npar, y, g)
-        heads.append(settle(k, 0, x, y, g))
-    del x  # the last run's level-0 inputs, like the others, are no longer needed
-
-    for level in range(1, m):
-        b = np.array([t[-1] for t in thresholds])
-        # chain states by step: row t * nc + c of a run's level is step t of chain c
-        xs = None  # free the previous level's states before allocating this level's
-        xs, ys, gs = (np.empty((runs, clen) + h.shape, h.dtype) for h in heads[0])
-        for k, head in enumerate(heads):
-            xs[k, 0], ys[k, 0], gs[k, 0] = head
-        a, s = correlation_param(level, p0)
-        streams = [root.split(_chain_stream(level, c)) for root in roots for c in range(nc)]
-        for t in range(1, clen):
-            xs[:, t], ys[:, t], gs[:, t] = xs[:, t - 1], ys[:, t - 1], gs[:, t - 1]
-            _advance_chains(model, xs[:, t], ys[:, t], gs[:, t], b, a, s, streams, level,
-                            seeds, calls)
-        heads = [settle(k, level, xs[k].reshape(N, n), ys[k].reshape(N), gs[k].reshape(N, npar))
-                 for k in range(runs)]
-
-    results = []
-    for k in range(runs):
-        partition = BinPartition(thresholds=np.array(thresholds[k]), bins=bins[k],
-                                 param_names=tuple(model.spec.sensitivity_params))
-        results.append((partition, _assemble_ccdf(levels_y[k], partition.thresholds, p0)))
-    return results
+    names = tuple(model.spec.sensitivity_params)
+    partitions = [BinPartition(thresholds=np.array(t), bins=bs, param_names=names)
+                  for t, bs in zip(thresholds, bins)]
+    return [(p, _assemble_ccdf(ly, p.thresholds, p0)) for p, ly in zip(partitions, levels_y)]
 
 
 def _assemble_ccdf(levels_y, thresholds, p0) -> CcdfCurve:

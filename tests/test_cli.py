@@ -340,8 +340,9 @@ class TestCmdBenchmark:
         assert man["n_samples"] == 2000
         assert man["fd_step"] == 0.01
 
-    def test_zero_samples_exit_2(self, tmp_path, capsys):
-        rc = main(["benchmark", "--model", "sdof", "--samples", "0",
+    @pytest.mark.parametrize("model", ["sdof", "normal"])
+    def test_zero_samples_exit_2(self, tmp_path, capsys, model):
+        rc = main(["benchmark", "--model", model, "--samples", "0",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "configuration error: n_samples=0" in capsys.readouterr().err
@@ -355,10 +356,13 @@ class TestCmdBenchmark:
         assert f"configuration error: grid_points={points}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("step", ["1", "2", "nan"])
-    def test_step_of_one_or_more_exit_2(self, tmp_path, capsys, step):
+    # the sdof cases keep their ids from before normal was added
+    @pytest.mark.parametrize("model, step", [
+        pytest.param(model, step, id=step if model == "sdof" else f"{model}-{step}")
+        for model in ("sdof", "normal") for step in ("1", "2", "nan")])
+    def test_step_of_one_or_more_exit_2(self, tmp_path, capsys, model, step):
         # a (1 - h) would reach zero or flip the sign of the damping ratio
-        rc = main(["benchmark", "--model", "sdof", "--samples", "200", "--step", step,
+        rc = main(["benchmark", "--model", model, "--samples", "200", "--step", step,
                    "--grid-points", "8", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "configuration error: rel_step=" in capsys.readouterr().err

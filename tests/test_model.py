@@ -95,10 +95,10 @@ def test_fd_matches_analytic_normal():
 def test_sample_record_rejects_nonfinite():
     # the engine's entry check on every model batch
     with pytest.raises(ModelDomainError):
-        _check_finite("at level 0", 1, 1, np.array([float("nan")]), np.zeros((1, 1)))
+        _check_finite(["at level 0"], 1, 1, np.array([float("nan")]), np.zeros((1, 1)))
     with pytest.raises(ModelDomainError):
-        _check_finite("at level 0", 1, 1, np.zeros(1), np.array([[float("inf")]]))
-    _check_finite("at level 0", 1, 1, np.zeros(1), np.zeros((1, 1)))
+        _check_finite(["at level 0"], 1, 1, np.zeros(1), np.array([[float("inf")]]))
+    _check_finite(["at level 0"], 1, 1, np.zeros(1), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("check", [
@@ -108,6 +108,7 @@ def test_sample_record_rejects_nonfinite():
     lambda: KernelSpec("silverman"),
     lambda: KernelSpec.parse("fixed:abc"),
     lambda: KernelSpec.parse("fixed:0"),
+    lambda: KernelSpec("scott-global", -5.0),
     lambda: central_steps(1.0, 0.0),
     lambda: RngStream(-1),
     lambda: scott_width(1.0, 1),
@@ -118,9 +119,9 @@ def test_sample_record_rejects_nonfinite():
     lambda: build_model("nope"),
     lambda: NormalResponse().spec.value("bogus"),
     lambda: crn_central_difference(NormalResponse(), params=("bogus",), n_samples=10),
-], ids=["levels", "p0", "p0-to-the-m", "width-rule", "width-number", "width-zero", "fd-step", "seed",
-        "one-sample-bin", "crn-samples", "grid-points", "one-run", "param", "model-name",
-        "spec-value", "crn-param"])
+], ids=["levels", "p0", "p0-to-the-m", "width-rule", "width-number", "width-zero", "scott-width",
+        "fd-step", "seed", "one-sample-bin", "crn-samples", "grid-points", "one-run", "param",
+        "model-name", "spec-value", "crn-param"])
 def test_argument_checks_raise_config_error(check):
     with pytest.raises(ConfigError):
         check()

@@ -47,7 +47,7 @@ class TestKernelSpec:
 
     # an infinite width would flatten every kernel to zero: all-zero dF columns
     @pytest.mark.parametrize("bad", ["fixed", "fixed:0", "silverman", "fixed:-1", "fixed:inf",
-                                     "fixed:nan"])
+                                     "fixed:nan", "scott:0.3"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             KernelSpec.parse(bad)
