@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ConfigError, ResponseModel, _check_finite, central_steps
+from .model import ConfigError, ResponseModel, _check_finite, _response_sets, central_steps
 from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
 from .sensest import fractional_measure
@@ -104,10 +104,10 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
 
-    # one pass over the input blocks: the base response, then each parameter
-    # moved up and down, on each draw.  A block is laid out in the model's
-    # memory order and filled chunk by chunk, so a change of order happens once,
-    # while the chunk is in cache, not in each of the model calls on the block.
+    # one pass over the input blocks, with one model call per block for the base
+    # response and each parameter moved up and down.  A block is laid out in the
+    # model's memory order and filled chunk by chunk, so a change of order happens
+    # once, while the chunk is in cache, not in the model.
     overrides = [{}] + [{name: v} for name, s in zip(params, steps) for v in s[:2]]
     out = np.empty((len(overrides), n_samples))
     stream = RngStream(seed)
@@ -116,10 +116,11 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
         x = np.empty((hi - lo, n_dim), order=model.spec.input_order)
         for r in range(0, hi - lo, _CRN_CHUNK):
             x[r:r + _CRN_CHUNK] = stream.standard_normal((min(_CRN_CHUNK, hi - lo - r), n_dim))
+        where = f"in CRN rows {lo}-{hi}"
+        y = _response_sets(model, x, overrides, where)
         for k, kw in enumerate(overrides):
-            y = model.response_batch(x, **kw)
-            _check_finite([f"in CRN rows {lo}-{hi} with overrides {kw}"], hi - lo, len(params), y)
-            out[k, lo:hi] = y
+            _check_finite([f"{where} with overrides {kw}"], hi - lo, len(params), y[k])
+            out[k, lo:hi] = y[k]
     base, moved = out[0], out[1:].reshape(len(params), 2, n_samples)
     base.sort()
     if y_grid is None:

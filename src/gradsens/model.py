@@ -69,10 +69,12 @@ class ResponseModel:
     """Base class for response models.
 
     Subclasses must set ``spec`` and implement ``response_batch``; models with
-    analytic gradients override ``evaluate_batch``.  ``eager_gradients`` tells
-    the sampling engine whether gradients come essentially for free with the
-    response (analytic models) or are expensive and should be computed only
-    for samples that will be kept (finite-difference models).
+    analytic gradients override ``evaluate_batch``, and models that can share
+    work between the parameter overrides of one block, ``response_sets``.
+    ``eager_gradients`` tells the sampling engine whether gradients come
+    essentially for free with the response (analytic models) or are expensive
+    and should be computed only for samples that will be kept
+    (finite-difference models).
     """
 
     spec: ModelSpec
@@ -88,6 +90,11 @@ class ResponseModel:
         models use them for finite differences and perturbation benchmarks.
         """
         raise NotImplementedError
+
+    def response_sets(self, x: np.ndarray, overrides) -> np.ndarray:
+        """(len(overrides), batch) responses for one input block: row k has the
+        bits of ``response_batch(x, **overrides[k])``."""
+        return np.stack([self.response_batch(x, **kw) for kw in overrides])
 
     def gradient_batch(self, x: np.ndarray) -> np.ndarray:
         """(batch, n_params) gradients; default is central finite differences."""
@@ -136,11 +143,21 @@ def central_steps(value: float, rel_step: float):
     return rel_step, -rel_step, 2.0 * rel_step
 
 
+def _response_sets(model, x, overrides, where):
+    """``model.response_sets``, rejecting a result without one row per override set;
+    the message ends with ``where``."""
+    y = model.response_sets(x, overrides)
+    if np.shape(y)[:1] != (len(overrides),):
+        raise ModelDomainError(f"model returned shape {np.shape(y)} for {len(overrides)} "
+                               f"parameter override sets {where}")
+    return y
+
+
 def fd_gradient_batch(model: ResponseModel, x: np.ndarray, rel_step: float) -> np.ndarray:
-    """Central-difference gradients in each sensitivity parameter (``central_steps``)."""
-    cols = []
-    for name in model.spec.sensitivity_params:
-        up, down, denom = central_steps(model.spec.value(name), rel_step)
-        cols.append((model.response_batch(x, **{name: up})
-                     - model.response_batch(x, **{name: down})) / denom)
-    return np.stack(cols, axis=1)
+    """Central-difference gradients in each sensitivity parameter (``central_steps``),
+    from one ``response_sets`` call over the up and down values of every parameter."""
+    names = model.spec.sensitivity_params
+    steps = [central_steps(model.spec.value(name), rel_step) for name in names]
+    sets = [{name: v} for name, s in zip(names, steps) for v in s[:2]]
+    y = _response_sets(model, x, sets, "in finite-difference gradients")
+    return np.stack([(y[2 * i] - y[2 * i + 1]) / s[2] for i, s in enumerate(steps)], axis=1)

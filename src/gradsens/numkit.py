@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 from .model import ConfigError
@@ -43,6 +44,23 @@ class RepeatedEigenvalueError(NumericalError):
     """
 
 
+class _PhiloxKey(ISeedSequence):
+    """The Philox key (seed, stream), handed over as is.
+
+    ``Philox(key=...)`` would also draw an OS-entropy seed sequence only to
+    discard it, and reads a key list through ``np.asarray``, which rounds a list
+    that mixes values below and from 2**63 through float64.
+    """
+
+    __slots__ = ("seed", "stream")
+
+    def __init__(self, seed: int, stream: int):
+        self.seed, self.stream = seed, stream
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return np.array([self.seed, self.stream], dtype=np.uint64)  # Philox's 2-word key
+
+
 class RngStream:
     """Counter-based random stream: Philox4x64-10 via numpy's Generator.
 
@@ -65,7 +83,7 @@ class RngStream:
             raise ValueError("stream id must fit in 64 bits")
         self.seed = int(seed)
         self.stream = int(stream)
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream)))
 
     def split(self, stream: int) -> "RngStream":
         """Independent child stream of the same seed."""

@@ -152,6 +152,9 @@ class BucklingResponse(ResponseModel):
         return y, np.stack([scale * dlam_load, scale * dlam_k2], axis=1)
 
 
+_SDOF_TILE_ROWS = 4096  # rows per sdof recursion: 5 sets of states and next states take 0.66 MB
+
+
 class SdofResponse(ResponseModel):
     """Peak displacement of a damped linear oscillator under white noise.
 
@@ -209,38 +212,53 @@ class SdofResponse(ResponseModel):
         e = sla.expm(aug[np.ix_(keep, keep)] * self.dt)
         return e[:m, :m], e[:m, m]
 
-    def _states(self, x, zeta=None, omega=None, full=False):
-        """State columns (states, batch) after each of the n - 1 steps of the
-        recursion, from rest, yielded in one reused buffer.
+    def _transition(self, full, zeta=None, omega=None):
+        """(Ad, Bd) at the nominal or the overridden zeta and omega."""
+        if zeta is None and omega is None:
+            return self._nominal[full]
+        return self._matrices(self.zeta if zeta is None else zeta,
+                              self.omega if omega is None else omega, full)
+
+    def _states(self, x, overrides=({},), full=False):
+        """State columns (sets, states, batch) after each of the n - 1 steps of the
+        recursion, from rest, yielded in one reused buffer: one set per parameter
+        override, all advanced by one stacked product per step.
 
         The 2-state oscillator (u, u'), or with ``full`` the 6-state system
         that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
         """
-        if zeta is None and omega is None:
-            ad, bd = self._nominal[full]
-        else:
-            ad, bd = self._matrices(self.zeta if zeta is None else zeta,
-                                    self.omega if omega is None else omega, full)
+        ad, bd = map(np.stack, zip(*(self._transition(full, **kw) for kw in overrides)))
         w = np.multiply(x[:, : self.n - 1].T, self.scale, order="C")
-        state = np.zeros((bd.shape[0], x.shape[0]))
+        state = np.zeros(bd.shape + (x.shape[0],))
         nxt = np.empty_like(state)
+        kick = bd[:, :, None]
         for j in range(self.n - 1):
-            np.matmul(ad, state, out=nxt)
-            np.multiply(bd[:, None], w[j], out=state)  # the kick, once state is spent
+            np.matmul(ad, state, out=nxt)  # one BLAS product per set, as for one set
+            np.multiply(kick, w[j], out=state)  # the kick, once state is spent
             np.add(nxt, state, out=state)
             yield state
 
-    def response_batch(self, x, zeta=None, omega=None):
-        best = np.zeros(x.shape[0])
-        for state in self._states(x, zeta, omega):
-            np.maximum(best, np.abs(state[0]), out=best)
+    def response_sets(self, x, overrides):
+        nb = x.shape[0]
+        best = np.zeros((len(overrides), nb))
+        # near-equal row tiles keep the states of all sets in cache; a tile has
+        # 1 row (numpy's matrix-vector path, other bits) only if the block has
+        tiles = -(-nb // _SDOF_TILE_ROWS)
+        edges = [nb * i // tiles for i in range(tiles + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            part = best[:, lo:hi]
+            for state in self._states(x[lo:hi], overrides):
+                np.maximum(part, np.abs(state[:, 0]), out=part)
         return best
+
+    def response_batch(self, x, zeta=None, omega=None):
+        return self.response_sets(x, ({"zeta": zeta, "omega": omega},))[0]
 
     def evaluate_batch(self, x):
         nb = x.shape[0]
         traj = np.zeros((self.n, 3, nb))  # u, u_zeta, u_omega
         for j, state in enumerate(self._states(x, full=True), start=1):
-            traj[j] = state[::2]
+            traj[j] = state[0, ::2]
         u = traj[:, 0]
         # |u| into a (batch, n) buffer: argmax(axis=0) would copy its input
         peak = np.abs(u.T, out=np.empty((nb, self.n)))
@@ -312,16 +330,26 @@ class PileResponse(ResponseModel):
     def param_unit(self, name):
         return {"B": "m", "mu": "rad"}.get(name, "-")
 
-    def field(self, x, mu=None):
-        """Friction-angle field phi'(z_i) for a (batch, n) input block."""
-        mu = self.mu if mu is None else mu
+    def _unit_field(self, x):
+        """The friction-angle field of a (batch, n) input block at unit mean."""
         # BLAS picks its kernel for a few rows by layout, and the kernels round
         # differently, so a Fortran-order block is read as a C-order copy
-        return mu * np.exp(self.u_ln + self.s_ln * (np.ascontiguousarray(x) @ self.chol.T))
+        return np.exp(self.u_ln + self.s_ln * (np.ascontiguousarray(x) @ self.chol.T))
+
+    def field(self, x, mu=None):
+        """Friction-angle field phi'(z_i) for a (batch, n) input block."""
+        return (self.mu if mu is None else mu) * self._unit_field(x)
 
     def response_batch(self, x, B=None, mu=None):
+        return self._response(self._unit_field(x), B, mu)
+
+    def response_sets(self, x, overrides):
+        unit = self._unit_field(x)  # built once: each set scales it by its mean
+        return np.stack([self._response(unit, **kw) for kw in overrides])
+
+    def _response(self, unit, B=None, mu=None):
         B = self.B if B is None else B
-        phi = self.field(x, mu=mu)
+        phi = (self.mu if mu is None else mu) * unit
         gw = self.gamma - self.gamma_w
         sigma_eff = gw * self.z[: self.n_side]
         q_side = math.pi * B * self.d * self.k_ratio * (

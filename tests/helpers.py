@@ -13,8 +13,8 @@ def simulate(model, x, zeta=None, omega=None):
     """Displacement trajectories u(j dt) of an ``SdofResponse``, shape (batch, n),
     recorded from the recursion that ``response_batch`` runs."""
     u = np.zeros((x.shape[0], model.n))
-    for j, state in enumerate(model._states(x, zeta, omega), start=1):
-        u[:, j] = state[0]
+    for j, state in enumerate(model._states(x, ({"zeta": zeta, "omega": omega},)), start=1):
+        u[:, j] = state[0, 0]
     return u
 
 
@@ -45,7 +45,8 @@ def y_at_mean_ccdf(agg, f_target: float) -> float:
 class FaultyNormal(NormalResponse):
     """The normal model with one fault in ``response_batch``: "nan" on the rows
     with x2 > 1.476 (about 7%), "nan-moved" the same under a parameter override
-    only, or "column" a (rows, 1) array in place of (rows,).  It is not named
+    only, or "column" a (rows, 1) array in place of (rows,); or with "sets" in
+    ``response_sets``, which drops the last override set.  It is not named
     "normal", so ``run_benchmark`` takes the CRN reference for it."""
 
     def __init__(self, fault):
@@ -57,6 +58,10 @@ class FaultyNormal(NormalResponse):
         y = super().response_batch(x, **overrides)
         if self.fault == "column":
             return y[:, None]
-        if self.fault == "nan" or overrides:
+        if self.fault == "nan" or (self.fault == "nan-moved" and overrides):
             y[x[:, 1] > 1.476] = np.nan
         return y
+
+    def response_sets(self, x, overrides):
+        y = super().response_sets(x, overrides)
+        return y[:-1] if self.fault == "sets" else y

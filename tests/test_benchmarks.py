@@ -232,6 +232,12 @@ class TestCrnCentralDifference:
         with pytest.raises(ModelDomainError, match=re.escape(message)):
             crn_central_difference(FaultyNormal(fault), n_samples=5000, seed=1)
 
+    def test_rejects_a_missing_override_set(self):
+        # a short result would otherwise end in an IndexError, an internal error
+        message = "shape (6, 5000) for 7 parameter override sets in CRN rows 0-5000"
+        with pytest.raises(ModelDomainError, match=re.escape(message)):
+            crn_central_difference(FaultyNormal("sets"), n_samples=5000, seed=1)
+
 
 def two_pass_crn(model, params=None, n_samples=10**6, rel_step=0.01, seed=0,
                  y_grid=None, grid_points=256):

@@ -367,7 +367,7 @@ class TestCmdBenchmark:
         assert rc == 2
         assert "configuration error: rel_step=" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["nan", "nan-moved", "column"])
+    @pytest.mark.parametrize("fault", ["nan", "nan-moved", "column", "sets"])
     def test_bad_model_output_exit_3(self, tmp_path, capsys, monkeypatch, fault):
         import gradsens.cli as climod
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from gradsens.numkit import RngStream
 from gradsens.responses import MODEL_BUILDERS, NormalResponse, build_model
 from gradsens.sensest import KernelSpec, scott_width
 from gradsens.subsim import SsConfig, run_subset_simulation
+
+from helpers import FaultyNormal
 
 
 class QuadraticModel(ResponseModel):
@@ -70,6 +74,20 @@ def test_fd_unused_parameter_zero_and_zero_value_fallback():
     assert g[0, 0] == pytest.approx(1.0, rel=1e-9)
     # 'unused' has nominal value 0: absolute-step fallback, exact cancellation
     assert g[0, 1] == 0.0
+
+
+def test_default_response_sets_stacks_response_batch():
+    m = ShiftModel(used=2.0)
+    x = np.array([[0.5], [-1.0], [3.0]])
+    overrides = ({}, {"used": 1.5}, {"unused": 7.0})
+    y = m.response_sets(x, overrides)
+    assert np.array_equal(y, [m.response_batch(x, **kw) for kw in overrides])
+
+
+def test_fd_rejects_a_missing_override_set():
+    message = "shape (5, 4) for 6 parameter override sets in finite-difference gradients"
+    with pytest.raises(ModelDomainError, match=re.escape(message)):
+        fd_gradient_batch(FaultyNormal("sets"), np.zeros((4, 2)), 1e-3)
 
 
 def test_fd_rejects_bad_step():

@@ -79,8 +79,25 @@ class TestRngStream:
                               RngStream(9, 3).standard_normal(8))
 
     def test_seed_bounds(self):
-        with pytest.raises(ValueError):
-            RngStream(-1)
+        for seed, stream in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
+            with pytest.raises(ValueError):
+                RngStream(seed, stream)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [1, 2 + (3 << 32) + 17])  # a chain's id at level 3
+    def test_keys_philox_with_seed_and_stream(self, seed, stream):
+        # the key as uint64 words: a key list would round [2**64 - 1, 1] through float64
+        ref = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        got = RngStream(seed, stream)
+        state, want = got._gen.bit_generator.state, ref.state
+        assert state.keys() == want.keys()
+        for k in want:
+            if k == "state":
+                assert all(np.array_equal(state[k][w], want[k][w]) for w in ("counter", "key"))
+            else:
+                assert np.array_equal(state[k], want[k]), k
+        assert np.array_equal(got.standard_normal(64),
+                              np.random.Generator(ref).standard_normal(64))
 
 
 class TestCholesky:

@@ -242,11 +242,17 @@ class TestSdofRowReference:
     def block(nb, zero=False):
         return np.zeros((nb, 400)) if zero else RngStream(1000 + nb).standard_normal((nb, 400))
 
-    @pytest.mark.parametrize("nb", [1, 2, 3, 7, 50, 100, 1000, 8192, 16384])
+    # 4097 rows make two recursion tiles of unequal size
+    @pytest.mark.parametrize("nb", [1, 2, 3, 7, 50, 100, 1000, 4097, 8192, 16384])
     def test_response_batch(self, model, nb):
+        # one override per call, or all of them stacked in one recursion
         x = self.block(nb)
-        for kw in SDOF_OVERRIDES:
-            assert same_bits(model.response_batch(x, **kw), row_response(model, x, **kw)), kw
+        sets = model.response_sets(x, SDOF_OVERRIDES)
+        assert sets.shape == (len(SDOF_OVERRIDES), nb)
+        for kw, y in zip(SDOF_OVERRIDES, sets):
+            ref = row_response(model, x, **kw)
+            assert same_bits(model.response_batch(x, **kw), ref), kw
+            assert same_bits(y, ref), kw
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 7, 50, 100, 1000])
     def test_simulate_and_evaluate(self, model, nb):
@@ -321,6 +327,30 @@ class TestPileResponse:
         corr = np.corrcoef(lg, rowvar=False)
         target = np.exp(-2.0 / 4.0 * np.abs(m.z[:, None] - m.z[None, :]))
         assert np.max(np.abs(corr - target)) < 0.02
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("nb", [1, 2, 7, 120])
+    def test_response_sets_rows_are_single_calls(self, nb, order):
+        m = PileResponse()
+        x = np.asarray(RngStream(93 + nb).standard_normal((nb, 120)), order=order)
+        overrides = ({}, {"B": 0.9009}, {"B": 0.8991}, {"mu": 0.5590585}, {"mu": 0.5579415},
+                     {"B": 1.0, "mu": 0.6})
+        sets = m.response_sets(x, overrides)
+        assert sets.shape == (len(overrides), nb)
+        for kw, y in zip(overrides, sets):
+            assert same_bits(y, m.response_batch(x, **kw)), kw
+
+    def test_fd_gradient_is_the_per_call_formula(self):
+        # one response_sets call gives the bits of two response_batch calls per parameter
+        m = PileResponse()
+        x = RngStream(94).standard_normal((33, 120))
+        cols = []
+        for name in m.spec.sensitivity_params:
+            v = m.spec.value(name)
+            cols.append((m.response_batch(x, **{name: v * (1.0 + 1e-3)})
+                         - m.response_batch(x, **{name: v * (1.0 - 1e-3)})) / (2.0 * v * 1e-3))
+        assert same_bits(fd_gradient_batch(m, x, 1e-3), np.stack(cols, axis=1))
+        assert same_bits(m.gradient_batch(x), np.stack(cols, axis=1))
 
     def test_fd_step_halving_consistency(self):
         # the tip-zone top D - 8B sits exactly on a layer edge at the nominal
