@@ -229,10 +229,9 @@ def thread_count() -> int:
     """``GRADSENS_THREADS`` if set, else the number of CPUs this process may run on."""
     env = os.environ.get("GRADSENS_THREADS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"GRADSENS_THREADS must be an integer, got {env!r}") from None
+        if not (env.strip().isdecimal() and int(env) > 0):
+            raise ConfigError(f"GRADSENS_THREADS must be a positive integer, got {env!r}")
+        return int(env)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)

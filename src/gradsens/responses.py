@@ -152,9 +152,6 @@ class BucklingResponse(ResponseModel):
         return y, np.stack([scale * dlam_load, scale * dlam_k2], axis=1)
 
 
-_SDOF_TILE_ROWS = 4096  # rows per sdof recursion: 5 sets of states and next states take 0.66 MB
-
-
 class SdofResponse(ResponseModel):
     """Peak displacement of a damped linear oscillator under white noise.
 
@@ -178,9 +175,6 @@ class SdofResponse(ResponseModel):
         if not 0.0 < self.zeta < 1.0:
             raise ModelDomainError("needs 0 < zeta < 1")
         self.scale = math.sqrt(2.0 * math.pi * self.psd / self.dt)
-        # nominal transition matrices by ``full``; overrides get theirs per call
-        self._nominal = {full: self._matrices(self.zeta, self.omega, full)
-                         for full in (False, True)}
         self.spec = ModelSpec(
             name="sdof",
             input_dim=self.n,
@@ -199,9 +193,12 @@ class SdofResponse(ResponseModel):
     def param_unit(self, name):
         return {"omega": "rad/s"}.get(name, "-")
 
-    def _matrices(self, z, w, full):
-        """Zero-order-hold [Ad, Bd] of the 6-state system, or without ``full`` of
-        its leading 2-state oscillator, from one matrix exponential of [[A, b], [0, 0]]."""
+    def _matrices(self, zeta=None, omega=None, full=False):
+        """Zero-order-hold [Ad, Bd] at the nominal or the overridden zeta and omega,
+        of the 6-state system or without ``full`` of its leading 2-state
+        oscillator, from one matrix exponential of [[A, b], [0, 0]]."""
+        z = self.zeta if zeta is None else zeta
+        w = self.omega if omega is None else omega
         aug = np.zeros((7, 7))  # the 6-state system; states 0 and 1 are the oscillator
         aug[0, 1] = aug[2, 3] = aug[4, 5] = aug[1, 6] = 1.0
         aug[1, 0], aug[1, 1] = -w * w, -2.0 * z * w
@@ -212,13 +209,6 @@ class SdofResponse(ResponseModel):
         e = sla.expm(aug[np.ix_(keep, keep)] * self.dt)
         return e[:m, :m], e[:m, m]
 
-    def _transition(self, full, zeta=None, omega=None):
-        """(Ad, Bd) at the nominal or the overridden zeta and omega."""
-        if zeta is None and omega is None:
-            return self._nominal[full]
-        return self._matrices(self.zeta if zeta is None else zeta,
-                              self.omega if omega is None else omega, full)
-
     def _states(self, x, overrides=({},), full=False):
         """State columns (sets, states, batch) after each of the n - 1 steps of the
         recursion, from rest, yielded in one reused buffer: one set per parameter
@@ -227,7 +217,7 @@ class SdofResponse(ResponseModel):
         The 2-state oscillator (u, u'), or with ``full`` the 6-state system
         that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
         """
-        ad, bd = map(np.stack, zip(*(self._transition(full, **kw) for kw in overrides)))
+        ad, bd = map(np.stack, zip(*(self._matrices(**kw, full=full) for kw in overrides)))
         w = np.multiply(x[:, : self.n - 1].T, self.scale, order="C")
         state = np.zeros(bd.shape + (x.shape[0],))
         nxt = np.empty_like(state)
@@ -239,16 +229,9 @@ class SdofResponse(ResponseModel):
             yield state
 
     def response_sets(self, x, overrides):
-        nb = x.shape[0]
-        best = np.zeros((len(overrides), nb))
-        # near-equal row tiles keep the states of all sets in cache; a tile has
-        # 1 row (numpy's matrix-vector path, other bits) only if the block has
-        tiles = -(-nb // _SDOF_TILE_ROWS)
-        edges = [nb * i // tiles for i in range(tiles + 1)]
-        for lo, hi in zip(edges, edges[1:]):
-            part = best[:, lo:hi]
-            for state in self._states(x[lo:hi], overrides):
-                np.maximum(part, np.abs(state[:, 0]), out=part)
+        best = np.zeros((len(overrides), x.shape[0]))
+        for state in self._states(x, overrides):
+            np.maximum(best, np.abs(state[:, 0]), out=best)
         return best
 
     def response_batch(self, x, zeta=None, omega=None):
@@ -335,10 +318,6 @@ class PileResponse(ResponseModel):
         # BLAS picks its kernel for a few rows by layout, and the kernels round
         # differently, so a Fortran-order block is read as a C-order copy
         return np.exp(self.u_ln + self.s_ln * (np.ascontiguousarray(x) @ self.chol.T))
-
-    def field(self, x, mu=None):
-        """Friction-angle field phi'(z_i) for a (batch, n) input block."""
-        return (self.mu if mu is None else mu) * self._unit_field(x)
 
     def response_batch(self, x, B=None, mu=None):
         return self._response(self._unit_field(x), B, mu)

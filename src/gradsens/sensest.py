@@ -22,6 +22,7 @@ selectable variant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,8 +60,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.width_rule not in ("scott", "scott-global", "fixed"):
             raise ConfigError(f"width rule {self.width_rule!r}: not scott, scott-global or fixed")
-        if self.width_rule == "fixed" and not (self.width and 0.0 < self.width < math.inf):
-            raise ConfigError("fixed width rule needs a finite positive width")
+        tiny = sys.float_info.min  # below it, P_i / (N_i w) overflows and inf * 0 is NaN
+        if self.width_rule == "fixed" and not (self.width and tiny <= self.width < math.inf):
+            raise ConfigError(f"fixed width rule needs a finite positive width, at least {tiny}")
         if self.width_rule != "fixed" and self.width is not None:
             raise ConfigError(f"the {self.width_rule} width rule takes no width")
 
@@ -170,9 +172,10 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
         for lo in range(0, grid.shape[0], _GRID_CHUNK):
             chunk = grid[lo : lo + _GRID_CHUNK]
             kmat = kbuf[: chunk.shape[0] * b.count].reshape(chunk.shape[0], -1)
-            for r in range(0, chunk.shape[0], _FILL_ROWS):
-                _fill_pdf(kmat[r : r + _FILL_ROWS], b.y, chunk[r : r + _FILL_ROWS], w,
-                          zbuf, under_buf)
+            with np.errstate(over="ignore"):  # a tiny width overflows z: pdf(inf) is +0.0
+                for r in range(0, chunk.shape[0], _FILL_ROWS):
+                    _fill_pdf(kmat[r : r + _FILL_ROWS], b.y, chunk[r : r + _FILL_ROWS], w,
+                              zbuf, under_buf)
             raw[lo : lo + _GRID_CHUNK] += scale * (kmat @ b.g)
     return SensitivityCurve(y=y_grid, params=bins.param_names, raw=raw[inverse], widths=widths)
 

@@ -18,6 +18,11 @@ def simulate(model, x, zeta=None, omega=None):
     return u
 
 
+def pile_field(model, x, mu=None):
+    """Friction-angle field phi'(z_i) of a ``PileResponse`` for a (batch, n) input block."""
+    return (model.mu if mu is None else mu) * model._unit_field(x)
+
+
 def critical_story(model, x, load=None, k2=None):
     """0-based index of the story governing a ``BucklingResponse`` buckling load."""
     load = model.load if load is None else load

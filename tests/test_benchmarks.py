@@ -122,8 +122,8 @@ class RecordingModel(ResponseModel):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-# one partial block; two full blocks, then a partial one ending in a partial chunk
-@pytest.mark.parametrize("n_samples", [8192, 2 * _CRN_BLOCK + 300])
+# two full blocks; eight full blocks, then a partial one ending in a partial chunk
+@pytest.mark.parametrize("n_samples", [8192, 8 * _CRN_BLOCK + 300])
 def test_crn_blocks_in_the_model_order(order, n_samples):
     model = RecordingModel(order)
     crn_central_difference(model, n_samples=n_samples, seed=6)
@@ -224,9 +224,9 @@ class TestCrnCentralDifference:
 
     @pytest.mark.parametrize("fault, message", [
         # unchecked, the NaN rows sort last and count as exceedances: F(10) = 0.07
-        ("nan", "non-finite output for 357 of 5000 rows in CRN rows 0-5000 with overrides {}"),
-        ("nan-moved", "rows in CRN rows 0-5000 with overrides {'loc': 1.01}"),
-        ("column", "shapes (5000, 1) for 5000 rows"),
+        ("nan", "non-finite output for 311 of 4096 rows in CRN rows 0-4096 with overrides {}"),
+        ("nan-moved", "rows in CRN rows 0-4096 with overrides {'loc': 1.01}"),
+        ("column", "shapes (4096, 1) for 4096 rows"),
     ], ids=["nan", "nan-moved", "column"])
     def test_rejects_bad_model_output(self, fault, message):
         with pytest.raises(ModelDomainError, match=re.escape(message)):
@@ -234,7 +234,7 @@ class TestCrnCentralDifference:
 
     def test_rejects_a_missing_override_set(self):
         # a short result would otherwise end in an IndexError, an internal error
-        message = "shape (6, 5000) for 7 parameter override sets in CRN rows 0-5000"
+        message = "shape (6, 4096) for 7 parameter override sets in CRN rows 0-4096"
         with pytest.raises(ModelDomainError, match=re.escape(message)):
             crn_central_difference(FaultyNormal("sets"), n_samples=5000, seed=1)
 
@@ -276,12 +276,16 @@ class TestTwoPassReference:
     """One pass over the input blocks gives the bits of two passes."""
 
     @pytest.mark.parametrize("model, kwargs", [
-        # three blocks, the last one partial
+        # ten blocks, the last one partial
         (SdofResponse(), dict(n_samples=40_000, seed=3, grid_points=64)),
+        # two full blocks and a 1-row block: numpy's matrix-vector path
+        (SdofResponse(), dict(n_samples=2 * _CRN_BLOCK + 1, seed=8, grid_points=64)),
+        # five full blocks and a 100-row tail: pile's field rounds by row count
+        (PileResponse(), dict(n_samples=20_580, seed=9, grid_points=64)),
         (PileResponse(), dict(params=("B",), rel_step=0.02, n_samples=5000, seed=4)),
         (NormalResponse(), dict(n_samples=20_000, seed=5,
                                 y_grid=np.linspace(-2.0, 5.0, 57))),
-    ], ids=["sdof", "pile-B", "normal-grid"])
+    ], ids=["sdof", "sdof-1-row-tail", "pile-100-row-tail", "pile-B", "normal-grid"])
     def test_bitwise_equal(self, model, kwargs):
         res = crn_central_difference(model, **kwargs)
         for got, ref in zip((res.y, res.f, res.df), two_pass_crn(model, **kwargs)):

@@ -177,14 +177,17 @@ class TestCmdRun:
     @pytest.mark.parametrize("argv", [
         ["run", "--model", "normal", "--seed", "-1"],
         ["run", "--model", "normal", "--width", "fixed:abc"],
+        # unchecked, the bin weight P_i / (N_i w) overflows and every dF column is NaN
+        ["run", "--model", "normal", "--width", "fixed:1e-320"],
         ["run", "--model", "normal", "--m", "330", "--p0", "0.1"],
         ["repeat", "--model", "normal", "--runs", "2", "--seeds", "1,x"],
-    ], ids=["negative-seed", "fixed-width-not-a-number", "level-probability-underflow",
-            "seeds-not-integers"])
+    ], ids=["negative-seed", "fixed-width-not-a-number", "fixed-width-subnormal",
+            "level-probability-underflow", "seeds-not-integers"])
     def test_bad_argument_exit_2(self, tmp_path, capsys, argv):
         rc = main(argv + ["--n", "100", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/sub", "link"],
                              ids=["file", "under-file", "dangling-link"])
@@ -221,8 +224,9 @@ class TestCmdRepeat:
         assert rc == 2
         assert "match the run count" in capsys.readouterr().err
 
-    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRADSENS_THREADS", "abc")
+    @pytest.mark.parametrize("threads", ["abc", "0", "-4"])
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("GRADSENS_THREADS", threads)
         rc = main(["repeat", "--model", "normal", "--runs", "2", "--n", "100",
                    "--out", str(tmp_path / "out")])
         assert rc == 2

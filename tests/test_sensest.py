@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,12 +46,21 @@ class TestKernelSpec:
         k = KernelSpec.parse("fixed:0.25")
         assert (k.width_rule, k.width) == ("fixed", 0.25)
 
-    # an infinite width would flatten every kernel to zero: all-zero dF columns
+    # an infinite width would flatten every kernel to zero: all-zero dF columns; a
+    # subnormal one overflows the bin weight P_i / (N_i w) to inf: all-NaN columns
     @pytest.mark.parametrize("bad", ["fixed", "fixed:0", "silverman", "fixed:-1", "fixed:inf",
-                                     "fixed:nan", "scott:0.3"])
+                                     "fixed:nan", "scott:0.3", "fixed:1e-320"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             KernelSpec.parse(bad)
+
+    def test_tiny_width_is_finite_without_warnings(self):
+        # z overflows to inf off the exact hits, where the fill writes the pdf's +0.0
+        y, g = NormalResponse().evaluate_batch(RngStream(12).standard_normal((200, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = one_bin_curve(y, g, kernel=KernelSpec.parse("fixed:1e-300"))
+        assert np.all(np.isfinite(curve.raw))
 
 
 def one_bin_curve(y, g, **kw):
