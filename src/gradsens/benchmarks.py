@@ -110,13 +110,15 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     # one pass over the input blocks, with one model call per block for the base
     # response and each parameter moved up and down.  A block is laid out in the
     # model's memory order and filled chunk by chunk, so a change of order happens
-    # once, while the chunk is in cache, not in the model.
+    # once, while the chunk is in cache, not in the model.  Every block refills
+    # one buffer, so one block is resident.
     overrides = [{}] + [{name: v} for name, s in zip(params, steps) for v in s[:2]]
     out = np.empty((len(overrides), n_samples))
     stream = RngStream(seed)
+    buf = np.empty(min(_CRN_BLOCK, n_samples) * n_dim)
     for lo in range(0, n_samples, _CRN_BLOCK):
         hi = min(lo + _CRN_BLOCK, n_samples)
-        x = np.empty((hi - lo, n_dim), order=model.spec.input_order)
+        x = buf[:(hi - lo) * n_dim].reshape((hi - lo, n_dim), order=model.spec.input_order)
         for r in range(0, hi - lo, _CRN_CHUNK):
             x[r:r + _CRN_CHUNK] = stream.standard_normal((min(_CRN_CHUNK, hi - lo - r), n_dim))
         where = f"in CRN rows {lo}-{hi}"

@@ -7,7 +7,9 @@ hands the model a float64 (batch, n) array of inputs, which models use as
 given; to evaluate one input, pass x[None].  A block arrives contiguous in C
 or Fortran order.  ``spec.input_order`` names the order a model reads fastest,
 and the CRN reference builds its blocks in it; it is a speed hint only, so a
-model's outputs must not depend on the layout of its input.
+model's outputs must not depend on the layout of its input.  The CRN reference
+refills one buffer for every block, so a model must not keep a reference to
+its input block after a call returns.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from scipy import linalg as sla
 from .model import ConfigError, ModelDomainError, ModelSpec, ResponseModel
 from . import numkit
 
+_KICK_TILE = 64  # sdof steps whose scaled inputs are held at once (2 MB at 4096 rows)
+
 
 def lognormal_shift(cov: float):
     """(a, b) with exp(a + b Z) having mean 1 and the given c.o.v. for Z~N(0,1)."""
@@ -212,21 +214,24 @@ class SdofResponse(ResponseModel):
     def _states(self, x, overrides=({},), full=False):
         """State columns (sets, states, batch) after each of the n - 1 steps of the
         recursion, from rest, yielded in one reused buffer: one set per parameter
-        override, all advanced by one stacked product per step.
+        override, all advanced by one stacked product per step.  The kick inputs
+        are scaled ``_KICK_TILE`` steps at a time into one reused tile.
 
         The 2-state oscillator (u, u'), or with ``full`` the 6-state system
         that appends the sensitivity states (u_zeta, u_zeta', u_omega, u_omega').
         """
         ad, bd = map(np.stack, zip(*(self._matrices(**kw, full=full) for kw in overrides)))
-        w = np.multiply(x[:, : self.n - 1].T, self.scale, order="C")
         state = np.zeros(bd.shape + (x.shape[0],))
         nxt = np.empty_like(state)
         kick = bd[:, :, None]
-        for j in range(self.n - 1):
-            np.matmul(ad, state, out=nxt)  # one BLAS product per set, as for one set
-            np.multiply(kick, w[j], out=state)  # the kick, once state is spent
-            np.add(nxt, state, out=state)
-            yield state
+        tile = np.empty((min(_KICK_TILE, self.n - 1), x.shape[0]))
+        for j0 in range(0, self.n - 1, _KICK_TILE):
+            w = x[:, j0:min(j0 + _KICK_TILE, self.n - 1)].T
+            for wj in np.multiply(w, self.scale, out=tile[: w.shape[0]]):
+                np.matmul(ad, state, out=nxt)  # one BLAS product per set, as for one set
+                np.multiply(kick, wj, out=state)  # the kick, once state is spent
+                np.add(nxt, state, out=state)
+                yield state
 
     def response_sets(self, x, overrides):
         best = np.zeros((len(overrides), x.shape[0]))

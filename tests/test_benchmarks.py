@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +109,8 @@ class PassThroughModel(ResponseModel):
 
 
 class RecordingModel(ResponseModel):
-    """y = x1 + used over three inputs, keeping every input block it is handed."""
+    """y = x1 + used over three inputs, keeping every input block it is handed
+    with a copy of its content: the CRN refills one buffer for every block."""
 
     def __init__(self, order):
         self.spec = ModelSpec(name="recording", input_dim=3,
@@ -117,7 +119,7 @@ class RecordingModel(ResponseModel):
         self.blocks = []
 
     def response_batch(self, x, used=None, idle=None):
-        self.blocks.append(x)
+        self.blocks.append((x, x.copy()))
         return x[:, 0] + (1.0 if used is None else used)
 
 
@@ -131,10 +133,27 @@ def test_crn_blocks_in_the_model_order(order, n_samples):
     starts = range(0, n_samples, _CRN_BLOCK)
     assert len(model.blocks) == 5 * len(starts)  # base, used +-, idle +-
     for k, lo in enumerate(starts):
-        x = model.blocks[5 * k]
-        assert all(b is x for b in model.blocks[5 * k:5 * k + 5])
+        x, content = model.blocks[5 * k]
+        assert all(b is x for b, _ in model.blocks[5 * k:5 * k + 5])
         assert x.flags[f"{order}_CONTIGUOUS"]
-        assert np.array_equal(x.view(np.uint64), draws[lo:lo + _CRN_BLOCK].view(np.uint64))
+        assert np.array_equal(content.view(np.uint64),
+                              draws[lo:lo + _CRN_BLOCK].view(np.uint64))
+        if k:  # one buffer, refilled for every block
+            assert np.shares_memory(x, model.blocks[5 * (k - 1)][0])
+
+
+def test_crn_holds_one_input_block():
+    # one 12.5 MiB sdof input block and a 2 MiB kick tile: 16.0 MiB.  Each more
+    # block-sized array (a block drawn while the last is held, a scaled copy of
+    # a block) adds 12.5 MiB
+    model = SdofResponse()
+    tracemalloc.start()
+    try:
+        crn_central_difference(model, n_samples=2 * _CRN_BLOCK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _CRN_BLOCK * model.spec.input_dim * 8
 
 
 class TestCrnCentralDifference:

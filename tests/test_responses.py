@@ -268,6 +268,30 @@ class TestSdofRowReference:
         for got, ref in zip(model.evaluate_batch(x), row_evaluate(model, x)):
             assert same_bits(got, ref)
 
+    # n - 1 = 1, 63, 64, 65 and 129 steps: a 1-step kick tile, a tile one step
+    # short, one full tile, a full tile and one step, two full tiles and one step
+    @pytest.mark.parametrize("duration", [0.1, 3.2, 3.25, 3.3, 6.5])
+    def test_kick_tile_edges(self, duration):
+        m = SdofResponse(duration=duration)
+        x = RngStream(round(20 * duration)).standard_normal((100, m.n))
+        for kw, y in zip(SDOF_OVERRIDES, m.response_sets(np.asfortranarray(x), SDOF_OVERRIDES)):
+            assert same_bits(y, row_response(m, x, **kw)), kw
+        for nb in (2, 7):
+            for got, ref in zip(m.evaluate_batch(x[:nb]), row_evaluate(m, x[:nb])):
+                assert same_bits(got, ref)
+
+    def test_response_sets_memory_peak(self, model):
+        # five (states, batch) sets, their next states and one (64, batch) kick
+        # tile: 3.0 MiB on a 4096-row block; a scaled copy of the block would take 13.5 MiB
+        x = np.asfortranarray(self.block(4096))
+        tracemalloc.start()
+        try:
+            model.response_sets(x, SDOF_OVERRIDES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_evaluate_memory_peak(self, model):
         # the (n, 3, batch) trajectory and one (batch, n) |u| buffer: 12.4 MiB
         # at 1000 x 400; an argmax over axis 0 of |u| would add a 3.2 MB copy
