@@ -86,9 +86,9 @@ def analytic_buckling(y_grid, load=100.0, k2=250.0, *, stiffness=250.0, height=3
 
 
 def _check_samples(n_samples, y_grid=None):
-    if n_samples < 1 or (y_grid is None and n_samples < 10):
+    if n_samples < 1 or (y_grid is None and n_samples < 11):
         raise ConfigError(f"n_samples={n_samples}: needs at least 1, "
-                          "or at least 10 without a y_grid")
+                          "or at least 11 without a y_grid")
 
 
 def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
@@ -100,7 +100,7 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     difference variance scales with the step instead of its square.  CCDFs are
     empirical step functions (exceedance counts), no smoothing.  When no grid
     is given, one is placed at log-spaced exceedance quantiles of the base run,
-    down to the level 10 / n_samples, so at least 10 samples are needed then.
+    from 0.999 down to 10 / n_samples, so it needs at least 11 samples.
     """
     _check_samples(n_samples, y_grid)
     params = tuple(params or model.spec.sensitivity_params)

@@ -154,11 +154,6 @@ def _mean_std(vals):
     return np.nanmean(vals, axis=0), std
 
 
-def _interp_guarded(x, xp, fp):
-    out = np.interp(x, xp, fp)
-    return np.where((x >= xp[0]) & (x <= xp[-1]), out, np.nan)
-
-
 @dataclass
 class RepeatResult:
     """Aggregated curves over independent seeded runs.
@@ -174,10 +169,12 @@ class RepeatResult:
     wall_time_s: float = 0.0
 
     def ccdf_runs(self, y) -> np.ndarray:
-        return np.stack([np.exp(_interp_guarded(y, r.y, np.log(r.ccdf))) for r in self.runs])
+        return np.stack([np.exp(np.interp(y, r.y, np.log(r.ccdf), left=np.nan, right=np.nan))
+                         for r in self.runs])
 
     def measure_runs(self, param: str, y, which: str = "fractional") -> np.ndarray:
-        return np.stack([_interp_guarded(y, r.y, r.column(param, which)) for r in self.runs])
+        return np.stack([np.interp(y, r.y, r.column(param, which), left=np.nan, right=np.nan)
+                         for r in self.runs])
 
     def mean_measure(self, param, y, which="fractional"):
         return _mean_std(self.measure_runs(param, y, which))

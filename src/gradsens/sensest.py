@@ -13,10 +13,10 @@ weighted by the bin probability:
 
 Kernels deliberately cross bin boundaries.  The default width per bin is
 Scott's rule w_i = sigma_i (4 / (3 N_i))^(1/5) with sigma_i the standard
-deviation of the samples in bin i, the data actually being smoothed; plugging
-the unconditional response spread into every bin ('scott-global') inflates
-the smoothing bias of the upper-tail bins several-fold and is kept only as a
-selectable variant.
+deviation of the samples in bin i, the data actually being smoothed.  The
+'scott-global' variant plugs into every bin the response's spread about its
+mean, the bins combined by their probabilities; that inflates the smoothing
+bias of the upper-tail bins several-fold.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class DegenerateResponseError(RuntimeError):
-    """Response variance vanished (or went negative from roundoff)."""
+    """Response spread vanished."""
 
 
 @dataclass(frozen=True)
@@ -118,29 +118,12 @@ def scott_width(sigma_y: float, n_i: int) -> float:
     return sigma_y * (4.0 / (3.0 * n_i)) ** 0.2
 
 
-def response_moments(bins: BinPartition):
-    """(mean, variance) of the response, combining bins by total probability.
-
-    E[Y^r] = sum_i P_i mean(Y_i^r).  Zero variance is returned as-is (the
-    width rule rejects it downstream); a negative value, which can only come
-    from roundoff, raises.
-    """
-    if not bins.bins:
-        raise ValueError("empty bin partition")
-    m1 = sum(b.probability * np.mean(b.y) for b in bins.bins)
-    m2 = sum(b.probability * np.mean(b.y * b.y) for b in bins.bins)
-    var = m2 - m1 * m1
-    if var < 0.0:
-        raise DegenerateResponseError(f"response variance {var} negative from roundoff")
-    return m1, var
-
-
 def _bin_widths(bins: BinPartition, kernel: KernelSpec):
     if kernel.width_rule == "fixed":
         return tuple(float(kernel.width) for _ in bins.bins)
-    if kernel.width_rule == "scott-global":
-        _, var = response_moments(bins)
-        sigma = math.sqrt(var)
+    if kernel.width_rule == "scott-global":  # two passes; E[Y^2] - E[Y]^2 would cancel
+        mean = sum(b.probability * np.mean(b.y) for b in bins.bins)
+        sigma = math.sqrt(sum(b.probability * np.mean((b.y - mean) ** 2) for b in bins.bins))
         return tuple(scott_width(sigma, b.count) for b in bins.bins)
     return tuple(scott_width(float(np.std(b.y)), b.count) for b in bins.bins)
 

@@ -228,7 +228,7 @@ def run_lockstep(model: ResponseModel, config: SsConfig, seeds) -> list:
             levels_y[k].append(y)
             rest = slice(None)  # the last level is one bin
             if level < m - 1:
-                order = np.lexsort((np.arange(N), -y))
+                order = np.argsort(-y, kind="stable")
                 top, rest = order[:nc], order[nc:]
                 bk = float(y[top[-1]])
                 # a rejected move repeats its state, so count distinct inputs only

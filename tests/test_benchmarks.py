@@ -229,11 +229,18 @@ class TestCrnCentralDifference:
         with pytest.raises(ValueError):
             crn_central_difference(NormalResponse(), rel_step=0.0, n_samples=100)
 
-    @pytest.mark.parametrize("n, y_grid", [(0, None), (-3, None), (9, None), (0, [1.0])])
+    @pytest.mark.parametrize("n, y_grid", [(0, None), (-3, None), (9, None), (0, [1.0]),
+                                           (10, None)])
     def test_rejects_too_few_samples(self, n, y_grid):
-        # the default grid reaches down to the exceedance level 10 / n
+        # the default grid runs from the exceedance level 0.999 down to 10 / n
         with pytest.raises(ValueError, match=f"n_samples={n}"):
             crn_central_difference(NormalResponse(), n_samples=n, y_grid=y_grid)
+
+    def test_fewest_samples_give_a_monotone_default_grid(self):
+        # at 10 samples the grid ran backwards: y fell and the CCDF rose
+        res = crn_central_difference(NormalResponse(), n_samples=11, grid_points=8)
+        assert np.all(np.diff(res.y) >= 0.0)
+        assert np.all(np.diff(res.f) <= 0.0)
 
     def test_few_samples_on_a_given_grid(self):
         res = crn_central_difference(NormalResponse(), params=("loc",), n_samples=4,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
-from gradsens.sensest import sensitivity_subsim
+from gradsens.sensest import KernelSpec, sensitivity_subsim
 from gradsens.subsim import SsConfig, run_subset_simulation
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -94,3 +94,15 @@ def test_sensitivity_reflection_symmetry(config):
     assert mirrored.widths == curve.widths
     scale = np.abs(curve.raw).max()
     assert np.allclose(mirrored.raw[::-1], -curve.raw, rtol=1e-12, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(kernel_configs, st.floats(-1e8, 1e8, allow_nan=False))
+def test_scott_global_widths_ignore_a_shift(config, c):
+    # the spread is taken about the mean, so a far location does not cancel it away
+    bins, _ = run_subset_simulation(MODEL, config)
+    kernel = KernelSpec(width_rule="scott-global")
+    widths = sensitivity_subsim(bins, kernel, y_grid=[0.0]).widths
+    shifted = sensitivity_subsim(with_gradients(bins, lambda y, g: (y + c, g)), kernel,
+                                 y_grid=[c]).widths
+    assert np.allclose(shifted, widths, rtol=1e-6, atol=0.0)

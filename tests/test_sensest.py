@@ -8,8 +8,8 @@ import scipy.stats
 from gradsens.numkit import RngStream, std_normal_pdf
 from gradsens.responses import NormalResponse, build_model
 from gradsens.sensest import (DegenerateResponseError, KernelSpec, _fill_pdf,
-                              fractional_measure, normalize_curve, response_moments,
-                              scott_width, sensitivity_direct_mc, sensitivity_subsim)
+                              fractional_measure, normalize_curve, scott_width,
+                              sensitivity_direct_mc, sensitivity_subsim)
 from gradsens.subsim import Bin, BinPartition, CcdfCurve, SsConfig, run_subset_simulation
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
@@ -67,36 +67,49 @@ def one_bin_curve(y, g, **kw):
     return sensitivity_direct_mc((y, g), **kw)
 
 
+def two_pass_sigma(bins):
+    """The response's spread about its mean, bins combined by their probabilities."""
+    mean = sum(b.probability * np.mean(b.y) for b in bins.bins)
+    return math.sqrt(sum(b.probability * np.mean((b.y - mean) ** 2) for b in bins.bins))
+
+
+GLOBAL = KernelSpec(width_rule="scott-global")
+
+
 class TestResponseMoments:
+    """The scott-global spread: two passes, bins combined by their probabilities."""
+
     def test_direct_mc_equals_sample_moments(self):
+        # on one bin the two-pass spread is np.std's own arithmetic
         m = NormalResponse()
         bins, _ = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=500, seed=5))
-        mean, var = response_moments(bins)
-        y = bins.bins[0].y
-        assert mean == np.mean(y)
-        assert var == np.mean(y * y) - np.mean(y) ** 2
+        assert sensitivity_subsim(bins, GLOBAL).widths == sensitivity_subsim(bins).widths
 
     def test_constant_response_gives_zero_variance(self):
         m = NormalResponse()
         bins, _ = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=100, seed=5))
         bins.bins[0].y = np.full(100, 3.0)
-        mean, var = response_moments(bins)
-        assert mean == 3.0
-        assert var == 0.0
         with pytest.raises(DegenerateResponseError):
-            scott_width(math.sqrt(var), 100)
+            sensitivity_subsim(bins, GLOBAL)
 
     def test_subsim_moments_recover_unconditional(self):
-        # total-probability moments from 200 SS runs of the unit normal response
+        # the total-probability spread from 200 SS runs of the unit normal response
         m = NormalResponse()
-        means, sigmas = [], []
+        sigmas = []
         for r in range(200):
             bins, _ = run_subset_simulation(m, SsConfig(**DEFAULT, seed=3000 + r))
-            mu, var = response_moments(bins)
-            means.append(mu)
-            sigmas.append(math.sqrt(var))
-        assert np.mean(means) == pytest.approx(1.0, abs=0.1)
+            widths = sensitivity_subsim(bins, GLOBAL, y_grid=[1.0]).widths
+            sigmas.append(widths[0] / (4.0 / (3.0 * bins.bins[0].count)) ** 0.2)
         assert np.mean(sigmas) == pytest.approx(1.0, abs=0.1)
+
+    def test_far_location_gives_the_same_widths(self):
+        # E[Y^2] - E[Y]^2 at loc = 1e8 came out negative (-2.0) from cancellation
+        config = SsConfig(**DEFAULT, seed=1)
+        near, _ = run_subset_simulation(NormalResponse(loc=1.0), config)
+        far, _ = run_subset_simulation(NormalResponse(loc=1e8), config)
+        widths = sensitivity_subsim(far, GLOBAL, y_grid=[1e8]).widths
+        assert np.allclose(widths, sensitivity_subsim(near, GLOBAL, y_grid=[1.0]).widths,
+                           rtol=1e-6, atol=0.0)
 
 
 class TestDirectMcEstimator:
@@ -194,9 +207,8 @@ class TestSubsimEstimator:
     def test_scott_global_widths_follow_spec_formula(self):
         m = NormalResponse()
         bins, _ = run_subset_simulation(m, SsConfig(**DEFAULT, seed=10))
-        curve = sensitivity_subsim(bins, KernelSpec(width_rule="scott-global"))
-        _, var = response_moments(bins)
-        sigma = math.sqrt(var)
+        curve = sensitivity_subsim(bins, GLOBAL)
+        sigma = two_pass_sigma(bins)
         assert curve.widths == tuple(scott_width(sigma, b.count) for b in bins.bins)
 
     def test_default_widths_use_bin_spread(self):
@@ -206,7 +218,7 @@ class TestSubsimEstimator:
         expected = tuple(scott_width(float(np.std(b.y)), b.count) for b in bins.bins)
         assert curve.widths == expected
         # tail bins are much narrower than the whole-response spread implies
-        assert curve.widths[2] < 0.5 * scott_width(math.sqrt(response_moments(bins)[1]), 1000)
+        assert curve.widths[2] < 0.5 * scott_width(two_pass_sigma(bins), 1000)
 
 
 class TestNormalizeCurve:
