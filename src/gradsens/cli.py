@@ -172,12 +172,9 @@ class RepeatResult:
         return np.stack([np.exp(np.interp(y, r.y, np.log(r.ccdf), left=np.nan, right=np.nan))
                          for r in self.runs])
 
-    def measure_runs(self, param: str, y, which: str = "fractional") -> np.ndarray:
-        return np.stack([np.interp(y, r.y, r.column(param, which), left=np.nan, right=np.nan)
-                         for r in self.runs])
-
     def mean_measure(self, param, y, which="fractional"):
-        return _mean_std(self.measure_runs(param, y, which))
+        return _mean_std(np.stack([np.interp(y, r.y, r.column(param, which), left=np.nan,
+                                             right=np.nan) for r in self.runs]))
 
 
 def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,

@@ -24,15 +24,7 @@ class NumericalError(ValueError):
 
 
 class NotPositiveDefiniteError(NumericalError):
-    """Matrix expected to be SPD failed a Cholesky pivot.
-
-    ``pivot`` is the 0-based index of the failing pivot, or -1 when LAPACK's
-    factorization failed, which does not name it.
-    """
-
-    def __init__(self, pivot, message=None):
-        self.pivot = pivot
-        super().__init__(message or f"matrix not positive definite (pivot {pivot})")
+    """Matrix expected to be SPD failed a Cholesky pivot."""
 
 
 class RepeatedEigenvalueError(NumericalError):
@@ -74,7 +66,7 @@ class RngStream:
     be drawn from concurrently.
     """
 
-    __slots__ = ("seed", "stream", "_gen")
+    __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int, stream: int = 0):
         if not 0 <= int(seed) < 2**64:
@@ -82,8 +74,7 @@ class RngStream:
         if not 0 <= int(stream) < 2**64:
             raise ValueError("stream id must fit in 64 bits")
         self.seed = int(seed)
-        self.stream = int(stream)
-        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream)))
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, int(stream))))
 
     def split(self, stream: int) -> "RngStream":
         """Independent child stream of the same seed."""
@@ -127,7 +118,7 @@ def cholesky_lower(r) -> np.ndarray:
     for j in range(n):
         d = r[j, j] - L[j, :j] @ L[j, :j]
         if not d > 0.0 or not np.isfinite(d):
-            raise NotPositiveDefiniteError(j)
+            raise NotPositiveDefiniteError(f"matrix not positive definite (pivot {j})")
         L[j, j] = math.sqrt(d)
         if j + 1 < n:
             L[j + 1 :, j] = (r[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
@@ -145,7 +136,7 @@ def smallest_gen_eigenpair(k, kg):
     try:
         L = np.linalg.cholesky(kg)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(-1, "kg not positive definite") from None
+        raise NotPositiveDefiniteError("kg not positive definite") from None
     # C = L^-1 k L^-T, symmetrized against roundoff
     t = np.linalg.solve(L, k)
     C = np.linalg.solve(L, np.swapaxes(t, -1, -2))

@@ -147,7 +147,7 @@ class BucklingResponse(ResponseModel):
         kg = _shear_matrix(w / self.height)
         lam, u = numkit.smallest_gen_eigenpair(np.broadcast_to(self._K, kg.shape), kg)
         y = self.lam0 / lam
-        dkg_load = _shear_matrix(np.exp(self.a + self.b * x) / self.height)
+        dkg_load = _shear_matrix(self._loads(x, 1.0) / self.height)
         dlam_load = numkit.eigen_derivative(self._K, kg, None, dkg_load, lam, u)
         dlam_k2 = numkit.eigen_derivative(self._K, kg, self._dK_k2, None, lam, u)
         scale = -self.lam0 / (lam * lam)

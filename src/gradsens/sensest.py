@@ -105,16 +105,17 @@ class SensitivityCurve:
         raise ValueError(f"unknown measure {which!r}")
 
 
-def scott_width(sigma_y: float, n_i: int) -> float:
+def scott_width(sigma_y: float, n_i: int, mean: float = 0.0, where: str = "") -> float:
     """Scott's-rule kernel width sigma_Y * (4 / (3 N_i))^(1/5).
 
     A bin of one sample has no spread: that is a configuration error, checked
-    before the spread itself.
+    before the spread itself.  A spread at or below 8 eps |mean| is a constant
+    response's roundoff (at most about 3 eps |mean|) and counts as none.
     """
     if n_i < 2:
         raise ConfigError(f"a kernel width needs at least 2 samples per bin, got {n_i}")
-    if not (np.isfinite(sigma_y) and sigma_y > 0.0):
-        raise DegenerateResponseError(f"needs a positive response spread, got {sigma_y}")
+    if not (np.isfinite(sigma_y) and sigma_y > 8.0 * sys.float_info.epsilon * abs(mean)):
+        raise DegenerateResponseError(f"needs a positive response spread, got {sigma_y}{where}")
     return sigma_y * (4.0 / (3.0 * n_i)) ** 0.2
 
 
@@ -124,8 +125,11 @@ def _bin_widths(bins: BinPartition, kernel: KernelSpec):
     if kernel.width_rule == "scott-global":  # two passes; E[Y^2] - E[Y]^2 would cancel
         mean = sum(b.probability * np.mean(b.y) for b in bins.bins)
         sigma = math.sqrt(sum(b.probability * np.mean((b.y - mean) ** 2) for b in bins.bins))
-        return tuple(scott_width(sigma, b.count) for b in bins.bins)
-    return tuple(scott_width(float(np.std(b.y)), b.count) for b in bins.bins)
+        spreads = [(sigma, mean)] * len(bins.bins)
+    else:
+        spreads = [(float(np.std(b.y)), np.mean(b.y)) for b in bins.bins]
+    return tuple(scott_width(sigma, b.count, mean, f" in bin {i} of {b.count} samples")
+                 for i, (b, (sigma, mean)) in enumerate(zip(bins.bins, spreads)))
 
 
 def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),

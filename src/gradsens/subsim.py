@@ -57,11 +57,11 @@ class SsConfig:
         if not 0.0 < self.p0 < 1.0:
             raise ConfigError("p0 must lie in (0, 1)")
         nc = self.p0 * self.n_per_level
-        if self.n_per_level < 2 or abs(nc - round(nc)) > 1e-9 or round(nc) < 1:
+        if self.n_per_level < 2 or abs(nc - self.n_chains) > 1e-9 or self.n_chains < 1:
             raise ConfigError("p0 * n_per_level must be a positive integer")
-        if self.n_per_level % round(nc):
+        if self.n_per_level % self.n_chains:
             raise ConfigError("n_per_level must be a multiple of the seed count p0 * n_per_level")
-        if self.m > 1 and self.n_per_level // round(nc) < 2:
+        if self.m > 1 and self.chain_len < 2:
             raise ConfigError("chains need length 1/p0 >= 2, so p0 <= 0.5")
         if self.p0**self.m == 0.0:
             raise ConfigError(f"p0^m underflows to 0 at m={self.m}: too many levels")
@@ -119,8 +119,6 @@ def correlation_param(i: int, p0: float):
     u-quantile is nonnegative, i.e. p0^i <= 0.5; larger level probabilities
     are rejected (they also break the chain layout).
     """
-    if i < 1:
-        raise ValueError("conditional levels start at i = 1")
     u = std_normal_ccdf_inv(p0**i)
     v = std_normal_ccdf_inv(p0 ** (i + 1))
     a = 0.5 * (1.0 + u / v)

@@ -119,7 +119,7 @@ class TestCholesky:
     def test_not_spd_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert err.value.pivot == 1
+        assert "(pivot 1)" in str(err.value)
 
     def test_lower_triangular_positive_diagonal(self):
         rng = RngStream(11)

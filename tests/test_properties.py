@@ -8,12 +8,13 @@ Examples are derandomized, so the suite draws the same cases on every run.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
-from gradsens.sensest import KernelSpec, sensitivity_subsim
+from gradsens.sensest import DegenerateResponseError, KernelSpec, sensitivity_subsim
 from gradsens.subsim import SsConfig, run_subset_simulation
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -106,3 +107,24 @@ def test_scott_global_widths_ignore_a_shift(config, c):
     shifted = sensitivity_subsim(with_gradients(bins, lambda y, g: (y + c, g)), kernel,
                                  y_grid=[c]).widths
     assert np.allclose(shifted, widths, rtol=1e-6, atol=0.0)
+
+
+@PROPERTY
+@given(kernel_configs, st.floats(-1e150, 1e150, allow_nan=False))
+def test_constant_response_has_no_spread(config, c):
+    # a constant's mean and spread carry roundoff of a few eps |c|, which is no spread
+    bins, _ = run_subset_simulation(MODEL, config)
+    constant = with_gradients(bins, lambda y, g: (np.full_like(y, c), g))
+    for rule in ("scott", "scott-global"):
+        with pytest.raises(DegenerateResponseError):
+            sensitivity_subsim(constant, KernelSpec(width_rule=rule), y_grid=[c])
+
+
+@PROPERTY
+@given(st.integers(1, 50_000), st.data())
+def test_config_accepts_every_whole_chain_layout(n_chains, data):
+    # N = n_c L for any chain length L >= 2, up to N = 1e5
+    chain_len = data.draw(st.integers(2, 100_000 // n_chains))
+    n = n_chains * chain_len
+    config = SsConfig(m=2, p0=n_chains / n, n_per_level=n)
+    assert (config.n_chains, config.chain_len) == (n_chains, chain_len)

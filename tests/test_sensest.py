@@ -92,6 +92,17 @@ class TestResponseMoments:
         with pytest.raises(DegenerateResponseError):
             sensitivity_subsim(bins, GLOBAL)
 
+    @pytest.mark.parametrize("kernel", [KernelSpec(), GLOBAL], ids=["scott", "scott-global"])
+    @pytest.mark.parametrize("c", [7.3, -7.3])
+    def test_constant_response_with_roundoff_spread(self, kernel, c):
+        # np.mean of 900 copies of 7.3 is not 7.3: the spread is a few eps |c|, not 0
+        bins, _ = run_subset_simulation(NormalResponse(), SsConfig(**DEFAULT, seed=1))
+        for b in bins.bins:
+            b.y = np.full(b.count, c)
+        assert np.std(bins.bins[0].y) > 0.0
+        with pytest.raises(DegenerateResponseError, match="in bin 0 of 900 samples"):
+            sensitivity_subsim(bins, kernel)
+
     def test_subsim_moments_recover_unconditional(self):
         # the total-probability spread from 200 SS runs of the unit normal response
         m = NormalResponse()

@@ -53,8 +53,10 @@ class TestCorrelationParam:
                 assert 0.0 < s < 1.0
 
     def test_level_zero_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_param(0, 0.1)
+        # p0^i >= 1 below level 1, outside the quantile's domain
+        for i in (0, -1):
+            with pytest.raises(ValueError):
+                correlation_param(i, 0.1)
 
 
 class TestSsConfig:
