@@ -105,9 +105,10 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
     return RunResult(bins=bins, curve=curve, wall_time_s=time.perf_counter() - t0)
 
 
-def _estimate(model, kernel, bins, ccdf) -> SensitivityCurve:
-    """A run's normalized sensitivity curve at all of its sample values."""
-    curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y)
+def _estimate(model, kernel, bins, ccdf, rows=None) -> SensitivityCurve:
+    """A run's normalized sensitivity curve at all of its sample values, or at the
+    ``rows`` of their sorted unique values only (0 elsewhere)."""
+    curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y, rows=rows)
     return normalize_curve(curve, ccdf, model.spec)
 
 
@@ -145,13 +146,56 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
 def _mean_std(vals):
     """Mean and sample std (ddof=1) over runs (axis 0), ignoring NaN.
 
-    A grid point with fewer than 2 finite values has no sample std: it is NaN,
-    set here instead of leaving numpy to warn about the degrees of freedom.
+    A grid point with no value has no mean, and one with fewer than 2 finite
+    values no sample std: they are NaN, set here instead of leaving numpy to warn.
     """
+    empty = np.isnan(vals).all(axis=0)
+    mean = np.where(empty, np.nan, np.nanmean(np.where(empty, 0.0, vals), axis=0))
     ok = np.count_nonzero(np.isfinite(vals), axis=0) >= 2
     std = np.full(vals.shape[1:], np.nan)
     std[ok] = np.nanstd(vals[:, ok], axis=0, ddof=1)
-    return np.nanmean(vals, axis=0), std
+    return mean, std
+
+
+def _knots(xp, x) -> np.ndarray:
+    """Indices of the knots ``xp`` (sorted, distinct) that ``np.interp`` reads to
+    interpolate at ``x``: both ends of the interval holding each query in
+    ``[xp[0], xp[-1]]``, or the last knot alone for a query equal to it."""
+    x = np.asarray(x, dtype=float).ravel()
+    j = np.searchsorted(xp, x[(x >= xp[0]) & (x <= xp[-1])], side="right") - 1
+    return np.unique(np.concatenate([j, np.minimum(j + 1, xp.shape[0] - 1)]))
+
+
+class RepeatRun:
+    """One run of ``repeat_runs``: its bins, and its CCDF at its unique thresholds ``y``.
+
+    The run's normalized sensitivity curve on ``y`` is evaluated a row at a
+    time: the first time an interpolation reads it.  Rows not yet read are 0.
+    """
+
+    def __init__(self, model, kernel, bins, ccdf):
+        y, first = np.unique(ccdf.y, return_index=True)
+        self.model, self.kernel, self.bins = model, kernel, bins
+        self.ccdf = replace(ccdf, y=y, f=ccdf.f[first])
+        self._curve = None
+        self._done = np.zeros(y.shape, dtype=bool)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.ccdf.y
+
+    def curve(self, x) -> SensitivityCurve:
+        """The curve on ``y``, with every row that an interpolation at ``x`` reads."""
+        rows = _knots(self.y, x)
+        rows = rows[~self._done[rows]]
+        if rows.size or self._curve is None:
+            curve = _estimate(self.model, self.kernel, self.bins, self.ccdf, rows)
+            if self._curve is None:
+                self._curve = curve
+            else:
+                self._curve.raw[rows] = curve.raw[rows]
+            self._done[rows] = True
+        return self._curve
 
 
 @dataclass
@@ -164,17 +208,17 @@ class RepeatResult:
     """
 
     grid: np.ndarray
-    runs: list  # per seed, the run's SensitivityCurve at its unique thresholds
+    runs: list  # a RepeatRun per seed
     seeds: tuple
     wall_time_s: float = 0.0
 
     def ccdf_runs(self, y) -> np.ndarray:
-        return np.stack([np.exp(np.interp(y, r.y, np.log(r.ccdf), left=np.nan, right=np.nan))
+        return np.stack([np.exp(np.interp(y, r.y, np.log(r.ccdf.f), left=np.nan, right=np.nan))
                          for r in self.runs])
 
     def mean_measure(self, param, y, which="fractional"):
-        return _mean_std(np.stack([np.interp(y, r.y, r.column(param, which), left=np.nan,
-                                             right=np.nan) for r in self.runs]))
+        return _mean_std(np.stack([np.interp(y, r.y, r.curve(y).column(param, which),
+                                             left=np.nan, right=np.nan) for r in self.runs]))
 
 
 def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,
@@ -182,11 +226,12 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     """One run per seed (at least 2, distinct), aggregated onto a fixed threshold grid.
 
     The seeds run in lockstep groups of ``max(1, _GROUP_ROWS // n_chains)`` on the
-    calling thread; each finished run's kernel estimate goes to a pool of
-    ``thread_count()`` workers that share the model read-only.  Results are
-    reduced in seed order, so the output is invariant to the worker count and
-    the grouping.  The grid is placed at quantiles of the first run's pooled
-    sample values.
+    calling thread; each finished run's kernel estimate, at the thresholds that
+    interpolation onto the grid reads, goes to a pool of ``thread_count()``
+    workers that share the model read-only.  A ``RepeatRun`` evaluates any other
+    threshold when it is first read.  Results are reduced in seed order, so the
+    output is invariant to the worker count and the grouping.  The grid is
+    placed at quantiles of the first run's pooled sample values.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
@@ -199,9 +244,9 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     size = max(1, _GROUP_ROWS // config.n_chains)
 
     def finish(bins, ccdf):
-        """The run's curve at its unique thresholds, ready for interpolation."""
-        y, first = np.unique(ccdf.y, return_index=True)
-        return _estimate(model, kernel, bins, replace(ccdf, y=y, f=ccdf.f[first]))
+        run = RepeatRun(model, kernel, bins, ccdf)
+        run.curve(grid)
+        return run
 
     pending = []
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from gradsens import cli
 from gradsens.cli import (_write_csv, _write_outputs, main, read_csv, repeat_runs, single_run,
                           thread_count)
 from gradsens.model import ResponseModel
 from gradsens.responses import NormalResponse, PileResponse
-from gradsens.sensest import KernelSpec
+from gradsens.sensest import KernelSpec, normalize_curve
 from gradsens.subsim import SsConfig
 
 from helpers import FaultyNormal, mean_ccdf, y_at_mean_ccdf
@@ -484,6 +485,44 @@ class TestRepeatApi:
         mean, std = agg.mean_measure("loc", np.array([y10]))
         assert np.isfinite(mean[0]) and std[0] > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_points_outside_every_run_are_nan_without_warnings(self):
+        agg = repeat_runs(NormalResponse(), SsConfig(m=2, p0=0.1, n_per_level=200, seed=1),
+                          KernelSpec(), (1, 2, 3))
+        # no run has a knot around y = 100, so no run reads a row for it
+        mean, std = agg.mean_measure("loc", np.array([100.0]))
+        assert np.isnan(mean).all() and np.isnan(std).all()
+        mean, std = agg.mean_measure("loc", np.array([-100.0, agg.grid[3], 100.0]))
+        assert np.isnan(mean[[0, 2]]).all() and np.isfinite(mean[1])
+
+    def test_rows_are_evaluated_once_when_first_read(self, monkeypatch):
+        calls = []
+        kernel_at = cli.sensitivity_subsim
+
+        def spy(bins, kernel, y_grid=None, rows=None):
+            calls.append(None if rows is None else len(rows))
+            return kernel_at(bins, kernel, y_grid=y_grid, rows=rows)
+
+        monkeypatch.setattr(cli, "sensitivity_subsim", spy)
+        m, kernel = NormalResponse(), KernelSpec()
+        cfg = SsConfig(m=2, p0=0.1, n_per_level=300, seed=90)
+        agg = repeat_runs(m, cfg, kernel, (90, 91), grid_points=16)
+        assert len(calls) == 2 and all(0 < n <= 32 for n in calls)
+        agg.mean_measure("loc", agg.grid, "raw")
+        assert len(calls) == 2  # the pool evaluated every row the grid reads
+        y = np.linspace(agg.grid[0] - 1.0, agg.grid[-1] + 1.0, 37)  # off the grid
+        got = [agg.mean_measure(p, y, which) for p in ("loc", "scale")
+               for which in ("raw", "scaled", "fractional")]
+        assert len(calls) == 4  # one more evaluation per run, of the missing rows
+        full = [normalize_curve(kernel_at(r.bins, kernel, y_grid=r.y), r.ccdf, m.spec)
+                for r in agg.runs]
+        want = [cli._mean_std(np.stack([np.interp(y, c.y, c.column(p, which), left=np.nan,
+                                                  right=np.nan) for c in full]))
+                for p in ("loc", "scale") for which in ("raw", "scaled", "fractional")]
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert np.array_equal(a, b, equal_nan=True)
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_short_grid_rejected(self, points):
         cfg = SsConfig(m=2, p0=0.1, n_per_level=100, seed=1)
@@ -499,8 +538,9 @@ class TestRepeatApi:
         b = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
         for ra, rb in zip(a.runs, b.runs):
             assert np.array_equal(ra.y, rb.y)
-            for p in ra.params:
-                assert np.array_equal(ra.column(p, "fractional"), rb.column(p, "fractional"))
+            ca, cb = ra.curve(ra.y), rb.curve(rb.y)  # every unique threshold
+            for p in ca.params:
+                assert np.array_equal(ca.column(p, "fractional"), cb.column(p, "fractional"))
 
     def test_pile_non_eager_gradient_policy_in_engine(self):
         # deferred-gradient models run through the same engine surface
@@ -518,5 +558,6 @@ class TestRepeatApi:
         monkeypatch.setenv("GRADSENS_THREADS", "3")
         b = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
         for ra, rb in zip(a.runs, b.runs):
-            for p in ra.params:
-                assert np.array_equal(ra.column(p, "fractional"), rb.column(p, "fractional"))
+            ca, cb = ra.curve(ra.y), rb.curve(rb.y)
+            for p in ca.params:
+                assert np.array_equal(ca.column(p, "fractional"), cb.column(p, "fractional"))

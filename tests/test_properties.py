@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradsens.cli import _knots
 from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
-from gradsens.sensest import DegenerateResponseError, KernelSpec, sensitivity_subsim
+from gradsens.sensest import (_GRID_CHUNK, DegenerateResponseError, KernelSpec,
+                              sensitivity_subsim)
 from gradsens.subsim import SsConfig, run_subset_simulation
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -32,6 +34,10 @@ def configs(draw, min_chains=1):
 # at least 5 seeds, so every bin holds several distinct responses to smooth
 kernel_configs = configs(min_chains=5)
 coefficients = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def with_gradients(bins, fn):
@@ -95,6 +101,50 @@ def test_sensitivity_reflection_symmetry(config):
     assert mirrored.widths == curve.widths
     scale = np.abs(curve.raw).max()
     assert np.allclose(mirrored.raw[::-1], -curve.raw, rtol=1e-12, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30, unique=True), st.data())
+def test_interpolation_reads_only_the_selected_knots(knots, data):
+    xp = np.sort(np.array(knots))
+    fp = np.array(data.draw(st.lists(st.floats(), min_size=xp.size, max_size=xp.size)))
+    inside = data.draw(st.lists(st.floats(xp[0], xp[-1]), max_size=20))
+    on_knots = data.draw(st.lists(st.sampled_from(xp.tolist()), max_size=10))
+    outside = data.draw(st.lists(st.floats(max_value=xp[0], exclude_max=True)
+                                 | st.floats(min_value=xp[-1], exclude_min=True), max_size=5))
+    x = np.array(inside + on_knots + outside + [xp[0], xp[-1]])
+    rows = _knots(xp, x)
+    full = np.interp(x, xp, fp, left=np.nan, right=np.nan)
+    through_rows = np.interp(x, xp[rows], fp[rows], left=np.nan, right=np.nan)
+    assert np.array_equal(bits(through_rows), bits(full))
+    # a value at any other knot is never read
+    blind = np.full_like(fp, np.nan)
+    blind[rows] = fp[rows]
+    assert np.array_equal(bits(np.interp(x, xp, blind, left=np.nan, right=np.nan)), bits(full))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["scott", "fixed:0.02"]),
+       st.floats(0.0, 0.3), st.sampled_from([None, 0, 1, 2]))
+def test_sensitivity_on_selected_rows_has_the_full_grids_bits(seed, width, share, empty_chunk):
+    # four bins, and a grid of three kernel chunks, the last partial; a 0.02 width
+    # leaves most (sample, row) pairs below the pdf's underflow cut
+    bins, ccdf = run_subset_simulation(MODEL, SsConfig(m=4, p0=0.1, n_per_level=1000,
+                                                       seed=seed))
+    kernel = KernelSpec.parse(width)
+    grid = np.unique(ccdf.y)
+    assert 2 * _GRID_CHUNK < grid.size < 3 * _GRID_CHUNK
+    wanted = np.random.default_rng(seed).random(grid.size) < share
+    ends = np.arange(0, grid.size, _GRID_CHUNK)
+    wanted[np.concatenate([ends, np.minimum(ends + _GRID_CHUNK, grid.size) - 1])] = True
+    if empty_chunk is not None:
+        wanted[empty_chunk * _GRID_CHUNK : (empty_chunk + 1) * _GRID_CHUNK] = False
+    rows = np.flatnonzero(wanted)
+    part = sensitivity_subsim(bins, kernel, y_grid=grid, rows=rows)
+    full = sensitivity_subsim(bins, kernel, y_grid=grid)
+    assert part.widths == full.widths
+    assert np.array_equal(bits(part.raw[rows]), bits(full.raw[rows]))
+    assert not bits(part.raw[~wanted]).any()  # +0.0
 
 
 @PROPERTY
