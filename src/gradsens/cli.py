@@ -14,7 +14,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .numkit import NumericalError
 from .responses import MODEL_BUILDERS, build_model
 from .sensest import (DegenerateResponseError, KernelSpec, SensitivityCurve, normalize_curve,
                       sensitivity_subsim)
-from .subsim import SsConfig, run_lockstep, run_subset_simulation
+from .subsim import BinPartition, CcdfCurve, SsConfig, run_lockstep, run_subset_simulation
 
 # Candidate rows per chain step of a lockstep group in ``repeat_runs``: about
 # where sdof's per-row cost bottoms out, 10 runs at the default 100 chains.
@@ -107,7 +107,7 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
 
 def _estimate(model, kernel, bins, ccdf, rows=None) -> SensitivityCurve:
     """A run's normalized sensitivity curve at all of its sample values, or at the
-    ``rows`` of their sorted unique values only (0 elsewhere)."""
+    ``rows`` of their sorted unique values only (NaN elsewhere)."""
     curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y, rows=rows)
     return normalize_curve(curve, ccdf, model.spec)
 
@@ -166,36 +166,13 @@ def _knots(xp, x) -> np.ndarray:
     return np.unique(np.concatenate([j, np.minimum(j + 1, xp.shape[0] - 1)]))
 
 
+@dataclass
 class RepeatRun:
-    """One run of ``repeat_runs``: its bins, and its CCDF at its unique thresholds ``y``.
+    """One run of ``repeat_runs``: its bins, and its normalized sensitivity curve
+    at its unique thresholds, NaN at the rows not yet evaluated."""
 
-    The run's normalized sensitivity curve on ``y`` is evaluated a row at a
-    time: the first time an interpolation reads it.  Rows not yet read are 0.
-    """
-
-    def __init__(self, model, kernel, bins, ccdf):
-        y, first = np.unique(ccdf.y, return_index=True)
-        self.model, self.kernel, self.bins = model, kernel, bins
-        self.ccdf = replace(ccdf, y=y, f=ccdf.f[first])
-        self._curve = None
-        self._done = np.zeros(y.shape, dtype=bool)
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.ccdf.y
-
-    def curve(self, x) -> SensitivityCurve:
-        """The curve on ``y``, with every row that an interpolation at ``x`` reads."""
-        rows = _knots(self.y, x)
-        rows = rows[~self._done[rows]]
-        if rows.size or self._curve is None:
-            curve = _estimate(self.model, self.kernel, self.bins, self.ccdf, rows)
-            if self._curve is None:
-                self._curve = curve
-            else:
-                self._curve.raw[rows] = curve.raw[rows]
-            self._done[rows] = True
-        return self._curve
+    bins: BinPartition
+    curve: SensitivityCurve
 
 
 @dataclass
@@ -210,15 +187,29 @@ class RepeatResult:
     grid: np.ndarray
     runs: list  # a RepeatRun per seed
     seeds: tuple
+    model: ResponseModel
+    kernel: KernelSpec
     wall_time_s: float = 0.0
 
+    def run_curve(self, k: int, x) -> SensitivityCurve:
+        """Run ``k``'s curve, with every row that an interpolation at ``x`` reads evaluated."""
+        run = self.runs[k]
+        c = run.curve
+        rows = _knots(c.y, x)
+        rows = rows[np.isnan(c.raw[rows, 0])]  # a NaN row is evaluated (again) when read
+        if rows.size:
+            c.raw[rows] = _estimate(self.model, self.kernel, run.bins, CcdfCurve(c.y, c.ccdf),
+                                    rows).raw[rows]
+        return c
+
     def ccdf_runs(self, y) -> np.ndarray:
-        return np.stack([np.exp(np.interp(y, r.y, np.log(r.ccdf.f), left=np.nan, right=np.nan))
-                         for r in self.runs])
+        return np.stack([np.exp(np.interp(y, r.curve.y, np.log(r.curve.ccdf), left=np.nan,
+                                          right=np.nan)) for r in self.runs])
 
     def mean_measure(self, param, y, which="fractional"):
-        return _mean_std(np.stack([np.interp(y, r.y, r.curve(y).column(param, which),
-                                             left=np.nan, right=np.nan) for r in self.runs]))
+        curves = [self.run_curve(k, y) for k in range(len(self.runs))]
+        return _mean_std(np.stack([np.interp(y, c.y, c.column(param, which), left=np.nan,
+                                             right=np.nan) for c in curves]))
 
 
 def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,
@@ -228,10 +219,11 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     The seeds run in lockstep groups of ``max(1, _GROUP_ROWS // n_chains)`` on the
     calling thread; each finished run's kernel estimate, at the thresholds that
     interpolation onto the grid reads, goes to a pool of ``thread_count()``
-    workers that share the model read-only.  A ``RepeatRun`` evaluates any other
-    threshold when it is first read.  Results are reduced in seed order, so the
-    output is invariant to the worker count and the grouping.  The grid is
-    placed at quantiles of the first run's pooled sample values.
+    workers that share the model read-only; ``RepeatResult.run_curve``
+    evaluates any other threshold when it is first read.  Results are reduced
+    in seed order, so the output is invariant to the worker count and the
+    grouping.  The grid is placed at quantiles of the first run's pooled
+    sample values.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
@@ -244,9 +236,9 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     size = max(1, _GROUP_ROWS // config.n_chains)
 
     def finish(bins, ccdf):
-        run = RepeatRun(model, kernel, bins, ccdf)
-        run.curve(grid)
-        return run
+        y, first = np.unique(ccdf.y, return_index=True)
+        return RepeatRun(bins, _estimate(model, kernel, bins, CcdfCurve(y, ccdf.f[first]),
+                                         _knots(y, grid)))
 
     pending = []
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
@@ -261,7 +253,8 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
                 grid = np.unique(np.quantile(group[0][1].y, np.linspace(0.0, 1.0, grid_points)))
             pending += [pool.submit(finish, bins, ccdf) for bins, ccdf in group]
         runs = [run.result() for run in pending]
-    return RepeatResult(grid=grid, runs=runs, seeds=seeds, wall_time_s=time.perf_counter() - t0)
+    return RepeatResult(grid=grid, runs=runs, seeds=seeds, model=model, kernel=kernel,
+                        wall_time_s=time.perf_counter() - t0)
 
 
 def thread_count() -> int:

@@ -140,7 +140,7 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     at every grid point; bin i is smoothed with its own width w_i (Scott's
     rule on the bin's samples unless the kernel says otherwise).  ``rows``, if
     given, indexes the grid's sorted unique values to evaluate; the estimate
-    is 0 at the others, and a selected row has the bits of the full grid's.
+    is NaN at the others, and a selected row has the bits of the full grid's.
     """
     if not bins.bins:
         raise ValueError("empty bin partition")
@@ -153,37 +153,33 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     npar = bins.bins[0].g.shape[1]
     raw = np.zeros((grid.shape[0], npar))
     ncol = max(b.count for b in bins.bins)
-    # a subset keeps each chunk's full row count in its product, with the rows it
-    # does not fill +0.0, since the product rounds a row by the row count
-    kbuf = (np.empty if rows is None else np.zeros)(min(_GRID_CHUNK, grid.shape[0]) * ncol)
+    # A chunk keeps its full row count in its product, which rounds a row by the
+    # row count; its rows not wanted are +0.0 there.  Rows are filled in blocks
+    # of _FILL_ROWS wanted rows, gathered and then copied into place.
+    wanted = np.zeros(grid.shape[0], dtype=bool)
+    wanted[slice(None) if rows is None else rows] = True
+    kbuf = np.empty(min(_GRID_CHUNK, grid.shape[0]) * ncol)
+    part_buf = np.empty(_FILL_ROWS * ncol)
     zbuf = np.empty(_FILL_ROWS * ncol)
     under_buf = np.empty(_FILL_ROWS * ncol, dtype=bool)
-    if rows is not None:
-        wanted = np.zeros(grid.shape[0], dtype=bool)
-        wanted[rows] = True
-        part_buf = np.empty(_FILL_ROWS * ncol)
     for b, w in zip(bins.bins, widths):
         scale = b.probability / (b.count * w)
         for lo in range(0, grid.shape[0], _GRID_CHUNK):
+            want = wanted[lo : lo + _GRID_CHUNK]
+            sel = np.flatnonzero(want)
+            if not sel.size:
+                continue
             chunk = grid[lo : lo + _GRID_CHUNK]
             kmat = kbuf[: chunk.shape[0] * b.count].reshape(chunk.shape[0], -1)
-            sel = None if rows is None else np.flatnonzero(wanted[lo : lo + _GRID_CHUNK])
-            if sel is not None and not sel.size:
-                continue
+            kmat[~want] = 0.0
             with np.errstate(over="ignore"):  # a tiny width overflows z: pdf(inf) is +0.0
-                if sel is None:
-                    for r in range(0, chunk.shape[0], _FILL_ROWS):
-                        _fill_pdf(kmat[r : r + _FILL_ROWS], b.y, chunk[r : r + _FILL_ROWS], w,
-                                  zbuf, under_buf)
-                else:
-                    for r in range(0, sel.shape[0], _FILL_ROWS):
-                        some = sel[r : r + _FILL_ROWS]
-                        part = part_buf[: some.shape[0] * b.count].reshape(some.shape[0], -1)
-                        _fill_pdf(part, b.y, chunk[some], w, zbuf, under_buf)
-                        kmat[some] = part
+                for r in range(0, sel.shape[0], _FILL_ROWS):
+                    some = sel[r : r + _FILL_ROWS]
+                    part = part_buf[: some.shape[0] * b.count].reshape(some.shape[0], -1)
+                    _fill_pdf(part, b.y, chunk[some], w, zbuf, under_buf)
+                    kmat[some] = part
             raw[lo : lo + _GRID_CHUNK] += scale * (kmat @ b.g)
-            if sel is not None:
-                kmat[sel] = 0.0
+    raw[~wanted] = np.nan
     return SensitivityCurve(y=y_grid, params=bins.param_names, raw=raw[inverse], widths=widths)
 
 

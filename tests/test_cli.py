@@ -12,7 +12,7 @@ from gradsens.cli import (_write_csv, _write_outputs, main, read_csv, repeat_run
 from gradsens.model import ResponseModel
 from gradsens.responses import NormalResponse, PileResponse
 from gradsens.sensest import KernelSpec, normalize_curve
-from gradsens.subsim import SsConfig
+from gradsens.subsim import CcdfCurve, SsConfig
 
 from helpers import FaultyNormal, mean_ccdf, y_at_mean_ccdf
 
@@ -510,12 +510,13 @@ class TestRepeatApi:
         assert len(calls) == 2 and all(0 < n <= 32 for n in calls)
         agg.mean_measure("loc", agg.grid, "raw")
         assert len(calls) == 2  # the pool evaluated every row the grid reads
+        assert np.isnan(agg.runs[0].curve.raw).any()  # rows not yet read
         y = np.linspace(agg.grid[0] - 1.0, agg.grid[-1] + 1.0, 37)  # off the grid
         got = [agg.mean_measure(p, y, which) for p in ("loc", "scale")
                for which in ("raw", "scaled", "fractional")]
         assert len(calls) == 4  # one more evaluation per run, of the missing rows
-        full = [normalize_curve(kernel_at(r.bins, kernel, y_grid=r.y), r.ccdf, m.spec)
-                for r in agg.runs]
+        full = [normalize_curve(kernel_at(r.bins, kernel, y_grid=r.curve.y),
+                                CcdfCurve(r.curve.y, r.curve.ccdf), m.spec) for r in agg.runs]
         want = [cli._mean_std(np.stack([np.interp(y, c.y, c.column(p, which), left=np.nan,
                                                   right=np.nan) for c in full]))
                 for p in ("loc", "scale") for which in ("raw", "scaled", "fractional")]
@@ -536,9 +537,10 @@ class TestRepeatApi:
         a = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
         monkeypatch.setenv("GRADSENS_THREADS", "4")
         b = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
-        for ra, rb in zip(a.runs, b.runs):
-            assert np.array_equal(ra.y, rb.y)
-            ca, cb = ra.curve(ra.y), rb.curve(rb.y)  # every unique threshold
+        for k in range(len(a.runs)):
+            ca = a.run_curve(k, a.runs[k].curve.y)  # every unique threshold
+            cb = b.run_curve(k, b.runs[k].curve.y)
+            assert np.array_equal(ca.y, cb.y)
             for p in ca.params:
                 assert np.array_equal(ca.column(p, "fractional"), cb.column(p, "fractional"))
 
@@ -557,7 +559,8 @@ class TestRepeatApi:
         a = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
         monkeypatch.setenv("GRADSENS_THREADS", "3")
         b = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
-        for ra, rb in zip(a.runs, b.runs):
-            ca, cb = ra.curve(ra.y), rb.curve(rb.y)
+        for k in range(len(a.runs)):
+            ca = a.run_curve(k, a.runs[k].curve.y)
+            cb = b.run_curve(k, b.runs[k].curve.y)
             for p in ca.params:
                 assert np.array_equal(ca.column(p, "fractional"), cb.column(p, "fractional"))

@@ -144,7 +144,7 @@ def test_sensitivity_on_selected_rows_has_the_full_grids_bits(seed, width, share
     full = sensitivity_subsim(bins, kernel, y_grid=grid)
     assert part.widths == full.widths
     assert np.array_equal(bits(part.raw[rows]), bits(full.raw[rows]))
-    assert not bits(part.raw[~wanted]).any()  # +0.0
+    assert np.isnan(part.raw[~wanted]).all()
 
 
 @PROPERTY

@@ -435,8 +435,8 @@ class TestLockstep:
         config = SsConfig(**DEFAULT)
         agg = cli.repeat_runs(model, config, kernel, self.SEEDS)
         assert groups == [[5, 6], [7]]
-        for seed, run in zip(self.SEEDS, agg.runs):
-            curve = run.curve(run.y)  # every unique threshold
+        for k, seed in enumerate(self.SEEDS):
+            curve = agg.run_curve(k, agg.runs[k].curve.y)  # every unique threshold
             want = cli.single_run(model, dataclasses.replace(config, seed=seed), kernel).curve
             y, first = np.unique(want.y, return_index=True)
             for got, ref in ((curve.y, y), (curve.raw, want.raw[first]),
