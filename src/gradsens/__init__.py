@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .model import ModelDomainError, ModelSpec, ResponseModel
 from .responses import (BucklingResponse, NormalResponse, PileResponse, SdofResponse,
                         build_model)
-from .sensest import (KernelSpec, SensitivityCurve, normalize_curve, sensitivity_direct_mc,
-                      sensitivity_subsim)
+from .sensest import KernelSpec, SensitivityCurve, normalize_curve, sensitivity_subsim
 from .subsim import BinPartition, CcdfCurve, SsConfig, run_subset_simulation
 from .benchmarks import (BenchmarkResult, analytic_buckling, analytic_normal,
                          crn_central_difference)
@@ -16,7 +15,7 @@ from .benchmarks import (BenchmarkResult, analytic_buckling, analytic_normal,
 __all__ = [
     "ModelDomainError", "ModelSpec", "ResponseModel",
     "NormalResponse", "BucklingResponse", "SdofResponse", "PileResponse", "build_model",
-    "KernelSpec", "SensitivityCurve", "sensitivity_direct_mc", "sensitivity_subsim",
+    "KernelSpec", "SensitivityCurve", "sensitivity_subsim",
     "normalize_curve", "SsConfig", "BinPartition", "CcdfCurve", "run_subset_simulation",
     "BenchmarkResult", "analytic_normal", "analytic_buckling", "crn_central_difference",
     "__version__",

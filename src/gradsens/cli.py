@@ -91,18 +91,19 @@ def _write_outputs(outdir: Path, command, model, params, files, **fields):
 
 
 @dataclass
-class RunResult:
-    bins: object
-    curve: object  # normalized; its ccdf column is the run's CCDF on curve.y
-    wall_time_s: float
+class Run:
+    """One seeded run: its bins, and its normalized sensitivity curve, whose
+    ``ccdf`` column is the run's CCDF on ``curve.y``.  In ``repeat_runs`` the
+    curve is on the unique thresholds and NaN at the rows not yet evaluated."""
+
+    bins: BinPartition
+    curve: SensitivityCurve
 
 
-def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> RunResult:
+def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Run:
     """One SS run with the sensitivity curve evaluated at all sample values."""
-    t0 = time.perf_counter()
     bins, ccdf = run_subset_simulation(model, config)
-    curve = _estimate(model, kernel, bins, ccdf)
-    return RunResult(bins=bins, curve=curve, wall_time_s=time.perf_counter() - t0)
+    return Run(bins, _estimate(model, kernel, bins, ccdf))
 
 
 def _estimate(model, kernel, bins, ccdf, rows=None) -> SensitivityCurve:
@@ -112,9 +113,9 @@ def _estimate(model, kernel, bins, ccdf, rows=None) -> SensitivityCurve:
     return normalize_curve(curve, ccdf, model.spec)
 
 
-def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
+def _write_run_outputs(outdir: Path, model, config, kernel, run: Run, params, wall):
     yu = model.response_unit
-    curve, bins = result.curve, result.bins
+    curve, bins = run.curve, run.bins
     files = {"ccdf.csv": ([f"y[{yu}]", "ccdf[-]"], [curve.y, curve.ccdf])}
     for p in params:
         files[f"sensitivity_{p}.csv"] = (
@@ -135,7 +136,7 @@ def _write_run_outputs(outdir: Path, model, config, kernel, result, params):
         kernel={"kind": "gaussian", "width_rule": kernel.width_rule,
                 "width": kernel.width, "bin_widths": list(curve.widths)},
         model_evaluations=config.model_evaluations,
-        wall_time_s=result.wall_time_s,
+        wall_time_s=wall,
     )
 
 
@@ -167,15 +168,6 @@ def _knots(xp, x) -> np.ndarray:
 
 
 @dataclass
-class RepeatRun:
-    """One run of ``repeat_runs``: its bins, and its normalized sensitivity curve
-    at its unique thresholds, NaN at the rows not yet evaluated."""
-
-    bins: BinPartition
-    curve: SensitivityCurve
-
-
-@dataclass
 class RepeatResult:
     """Aggregated curves over independent seeded runs.
 
@@ -185,11 +177,9 @@ class RepeatResult:
     """
 
     grid: np.ndarray
-    runs: list  # a RepeatRun per seed
+    runs: list  # a Run per seed
     seeds: tuple
-    model: ResponseModel
     kernel: KernelSpec
-    wall_time_s: float = 0.0
 
     def run_curve(self, k: int, x) -> SensitivityCurve:
         """Run ``k``'s curve, with every row that an interpolation at ``x`` reads evaluated."""
@@ -197,9 +187,8 @@ class RepeatResult:
         c = run.curve
         rows = _knots(c.y, x)
         rows = rows[np.isnan(c.raw[rows, 0])]  # a NaN row is evaluated (again) when read
-        if rows.size:
-            c.raw[rows] = _estimate(self.model, self.kernel, run.bins, CcdfCurve(c.y, c.ccdf),
-                                    rows).raw[rows]
+        if rows.size:  # normalize_curve leaves raw as it is, so it needs no second call
+            c.raw[rows] = sensitivity_subsim(run.bins, self.kernel, c.y, rows).raw[rows]
         return c
 
     def ccdf_runs(self, y) -> np.ndarray:
@@ -232,13 +221,12 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
         raise ConfigError("run seeds must be distinct")
     if grid_points < 2:
         raise ConfigError(f"grid_points={grid_points}: needs at least 2")
-    t0 = time.perf_counter()
     size = max(1, _GROUP_ROWS // config.n_chains)
 
     def finish(bins, ccdf):
         y, first = np.unique(ccdf.y, return_index=True)
-        return RepeatRun(bins, _estimate(model, kernel, bins, CcdfCurve(y, ccdf.f[first]),
-                                         _knots(y, grid)))
+        return Run(bins, _estimate(model, kernel, bins, CcdfCurve(y, ccdf.f[first]),
+                                   _knots(y, grid)))
 
     pending = []
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
@@ -253,8 +241,7 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
                 grid = np.unique(np.quantile(group[0][1].y, np.linspace(0.0, 1.0, grid_points)))
             pending += [pool.submit(finish, bins, ccdf) for bins, ccdf in group]
         runs = [run.result() for run in pending]
-    return RepeatResult(grid=grid, runs=runs, seeds=seeds, model=model, kernel=kernel,
-                        wall_time_s=time.perf_counter() - t0)
+    return RepeatResult(grid=grid, runs=runs, seeds=seeds, kernel=kernel)
 
 
 def thread_count() -> int:
@@ -270,7 +257,7 @@ def thread_count() -> int:
 
 
 def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult,
-                          params, grid_points):
+                          params, grid_points, wall):
     yu = model.response_unit
     g = agg.grid
     fm, fs = _mean_std(agg.ccdf_runs(g))
@@ -299,7 +286,7 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
         seeds=list(agg.seeds),
         grid_points=grid_points,
         model_evaluations=runs * config.model_evaluations,
-        wall_time_s=agg.wall_time_s,
+        wall_time_s=wall,
     )
 
 
@@ -386,8 +373,10 @@ def _ss_inputs(args):
 
 def cmd_run(args, model, params) -> int:
     config, kernel = _ss_inputs(args)
-    result = single_run(model, config, kernel)
-    _write_run_outputs(Path(args.out), model, config, kernel, result, params)
+    t0 = time.perf_counter()
+    run = single_run(model, config, kernel)
+    _write_run_outputs(Path(args.out), model, config, kernel, run, params,
+                       time.perf_counter() - t0)
     return 0
 
 
@@ -400,8 +389,10 @@ def cmd_repeat(args, model, params) -> int:
         raise ConfigError(f"--seeds {args.seeds!r}: needs comma-separated integers") from None
     if len(seeds) != args.runs:
         raise ConfigError("number of seeds must match the run count")
+    t0 = time.perf_counter()
     agg = repeat_runs(model, config, kernel, seeds, grid_points=args.grid_points)
-    _write_repeat_outputs(Path(args.out), model, config, kernel, agg, params, args.grid_points)
+    _write_repeat_outputs(Path(args.out), model, config, kernel, agg, params, args.grid_points,
+                          time.perf_counter() - t0)
     return 0
 
 

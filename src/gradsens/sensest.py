@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConfigError, ModelSpec
-from .subsim import Bin, BinPartition, CcdfCurve
+from .subsim import BinPartition, CcdfCurve
 
 # Grid rows per kernel matrix.  Each chunk is reduced by one BLAS matmul, whose
 # summation order depends on the row count, so this size fixes the output bits.
@@ -159,9 +159,10 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     wanted = np.zeros(grid.shape[0], dtype=bool)
     wanted[slice(None) if rows is None else rows] = True
     kbuf = np.empty(min(_GRID_CHUNK, grid.shape[0]) * ncol)
-    part_buf = np.empty(_FILL_ROWS * ncol)
-    zbuf = np.empty(_FILL_ROWS * ncol)
-    under_buf = np.empty(_FILL_ROWS * ncol, dtype=bool)
+    fill = min(_FILL_ROWS, np.count_nonzero(wanted)) * ncol
+    part_buf = np.empty(fill)
+    zbuf = np.empty(fill)
+    under_buf = np.empty(fill, dtype=bool)
     for b, w in zip(bins.bins, widths):
         scale = b.probability / (b.count * w)
         for lo in range(0, grid.shape[0], _GRID_CHUNK):
@@ -200,29 +201,6 @@ def _fill_pdf(out, y, c, w, zbuf, under_buf):
     np.exp(out, out=out)
     np.divide(out, _SQRT_2PI, out=out)
     np.copyto(out, 0.0, where=under)
-
-
-def sensitivity_direct_mc(samples, kernel: KernelSpec = KernelSpec(),
-                          y_grid=None, params: tuple = ()) -> SensitivityCurve:
-    """Direct-MC kernel estimate: the single-bin case of the SS estimator.
-
-    ``samples`` is the (y, g) pair of responses and gradients.
-    """
-    y, g = samples
-    y = np.asarray(y, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    if y.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    if not params:
-        params = tuple(f"p{j}" for j in range(g.shape[1]))
-    one_bin = BinPartition(
-        thresholds=np.array([]),
-        bins=[Bin(y=y, g=g, probability=1.0)],
-        param_names=tuple(params),
-    )
-    return sensitivity_subsim(one_bin, kernel, y_grid)
 
 
 def normalize_curve(curve: SensitivityCurve, ccdf: CcdfCurve,

@@ -7,6 +7,15 @@ import math
 import numpy as np
 
 from gradsens.responses import NormalResponse
+from gradsens.subsim import Bin, BinPartition
+
+
+def one_bin(y, g):
+    """Direct Monte Carlo responses ``y`` and gradients ``g`` (one column per
+    parameter) as the one-bin partition of probability 1, from which
+    ``sensitivity_subsim`` gives the direct-MC kernel estimate."""
+    return BinPartition(thresholds=np.array([]), bins=[Bin(y=y, g=g, probability=1.0)],
+                        param_names=tuple(f"p{j}" for j in range(g.shape[1])))
 
 
 def simulate(model, x, zeta=None, omega=None):

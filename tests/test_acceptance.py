@@ -18,10 +18,10 @@ from gradsens.model import fd_gradient_batch
 from gradsens.numkit import RngStream, smallest_gen_eigenpair
 from gradsens.responses import (BucklingResponse, NormalResponse, PileResponse,
                                 SdofResponse, _shear_matrix)
-from gradsens.sensest import KernelSpec, sensitivity_direct_mc
+from gradsens.sensest import KernelSpec, sensitivity_subsim
 from gradsens.subsim import SsConfig
 
-from helpers import critical_story, mean_ccdf, pile_field, simulate, y_at_mean_ccdf
+from helpers import critical_story, mean_ccdf, one_bin, pile_field, simulate, y_at_mean_ccdf
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 RUNS = 200
@@ -123,7 +123,7 @@ def test_criterion_3_kernel_bias_order():
         for r in range(100):
             x = RngStream(5000 + r, 1).standard_normal((10**6, 2))
             y, g = model.evaluate_batch(x)
-            est.append(sensitivity_direct_mc((y, g[:, :1]), kern, grid).raw[0, 0])
+            est.append(sensitivity_subsim(one_bin(y, g[:, :1]), kern, grid).raw[0, 0])
         means[w] = float(np.mean(est))
     ratio = abs(means[0.2] - exact) / abs(means[0.1] - exact)
     ok = 2.5 <= ratio <= 6.0

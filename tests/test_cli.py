@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -392,7 +394,8 @@ class TestCmdBenchmark:
 
 
 class TestManifestOutputs:
-    """manifest.json ends with the list of the CSVs a command writes, in order."""
+    """manifest.json records a command's compute time, and ends with the list of
+    the CSVs it writes, in order."""
 
     @pytest.mark.parametrize("argv, outputs", [
         (["run", "--model", "normal", "--n", "200", "--param", "mix", "--param", "loc"],
@@ -410,6 +413,34 @@ class TestManifestOutputs:
         assert list(man)[-1] == "outputs"
         assert man["outputs"] == outputs
         assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+
+    @pytest.mark.parametrize("argv, compute", [
+        (["run", "--model", "normal", "--n", "200"], "single_run"),
+        (["repeat", "--model", "pile", "--runs", "2", "--n", "100"], "repeat_runs"),
+        (["benchmark", "--model", "sdof", "--samples", "200", "--grid-points", "8"],
+         "run_benchmark"),
+    ], ids=["run", "repeat", "benchmark"])
+    def test_wall_time_is_the_compute_call(self, tmp_path, monkeypatch, argv, compute):
+        # wall_time_s spans the command's compute call and ends before its outputs
+        # are written
+        times = {}
+
+        def stamp(name, fn):
+            def stamped(*args, **kwargs):
+                times[name] = time.perf_counter()
+                result = fn(*args, **kwargs)
+                times[name + " done"] = time.perf_counter()
+                return result
+            return stamped
+
+        command = "cmd_" + argv[0]
+        for name in (command, compute, "_write_outputs"):
+            monkeypatch.setattr(cli, name, stamp(name, getattr(cli, name)))
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        wall = json.loads((tmp_path / "out" / "manifest.json").read_text())["wall_time_s"]
+        assert isinstance(wall, float) and math.isfinite(wall) and wall > 0.0
+        assert times[compute + " done"] - times[compute] <= wall
+        assert wall <= times["_write_outputs"] - times[command]
 
 
 class TestCsvRoundTrip:

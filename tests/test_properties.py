@@ -17,7 +17,7 @@ from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
 from gradsens.sensest import (_GRID_CHUNK, DegenerateResponseError, KernelSpec,
                               sensitivity_subsim)
-from gradsens.subsim import SsConfig, run_subset_simulation
+from gradsens.subsim import Bin, BinPartition, SsConfig, run_subset_simulation
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODEL = NormalResponse()
@@ -101,6 +101,37 @@ def test_sensitivity_reflection_symmetry(config):
     assert mirrored.widths == curve.widths
     scale = np.abs(curve.raw).max()
     assert np.allclose(mirrored.raw[::-1], -curve.raw, rtol=1e-12, atol=1e-12 * scale)
+
+
+@st.composite
+def partitions(draw):
+    """2 to 5 bins of distinct sizes, each a cluster of responses above the last,
+    with gradients of random sign and probabilities that sum to 1."""
+    k = draw(st.integers(2, 5))
+    counts = draw(st.lists(st.integers(2, 300), min_size=k, max_size=k, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    npar = draw(st.integers(1, 3))
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    bins = [Bin(y=i + 0.5 * rng.standard_normal(n), g=rng.standard_normal((n, npar)) + i - 1.0,
+                probability=p) for i, (n, p) in enumerate(zip(counts, weights / weights.sum()))]
+    return BinPartition(thresholds=np.arange(0.5, k - 1), bins=bins,
+                        param_names=tuple(f"p{j}" for j in range(npar)))
+
+
+@PROPERTY
+@given(partitions(), st.floats(0.02, 0.5))
+def test_sensitivity_integrates_to_the_mean_gradient(bins, w):
+    # each kernel integrates to 1, so over y the estimate sums to sum_i P_i mean(G_i);
+    # a grid of w/4 steps over every sample +-9 widths leaves a trapezoid and
+    # truncation error far below the stated 1e-9 of sum_i P_i mean|G_i|
+    ys = np.concatenate([b.y for b in bins.bins])
+    lo, hi = ys.min() - 9.0 * w, ys.max() + 9.0 * w
+    grid = np.linspace(lo, hi, int(np.ceil(4.0 * (hi - lo) / w)) + 1)
+    curve = sensitivity_subsim(bins, KernelSpec(width_rule="fixed", width=w), y_grid=grid)
+    integral = np.trapezoid(curve.raw, grid, axis=0)
+    want = sum(b.probability * b.g.mean(axis=0) for b in bins.bins)
+    scale = sum(b.probability * np.abs(b.g).mean(axis=0) for b in bins.bins)
+    assert np.all(np.abs(integral - want) <= 1e-9 * scale)
 
 
 @PROPERTY

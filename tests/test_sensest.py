@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ from gradsens.numkit import RngStream, std_normal_pdf
 from gradsens.responses import NormalResponse, build_model
 from gradsens.sensest import (DegenerateResponseError, KernelSpec, _fill_pdf,
                               fractional_measure, normalize_curve, scott_width,
-                              sensitivity_direct_mc, sensitivity_subsim)
+                              sensitivity_subsim)
 from gradsens.subsim import Bin, BinPartition, CcdfCurve, SsConfig, run_subset_simulation
+
+from helpers import one_bin
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 
@@ -64,7 +67,7 @@ class TestKernelSpec:
 
 
 def one_bin_curve(y, g, **kw):
-    return sensitivity_direct_mc((y, g), **kw)
+    return sensitivity_subsim(one_bin(y, g), **kw)
 
 
 def two_pass_sigma(bins):
@@ -152,9 +155,24 @@ class TestDirectMcEstimator:
             bias[w] = abs(np.mean(est) - exact)
         assert bias[0.1] < bias[0.2]
 
+    def test_one_row_memory_peak(self):
+        # criterion 3's call at a fifth of its size: the (rows, samples) kernel
+        # chunk and the fill's three scratch arrays, sized for one row: 4.8 MiB
+        # at 2e5 samples; scratch for 32 rows would take 105 MiB
+        y, g = NormalResponse().evaluate_batch(RngStream(58).standard_normal((200_000, 2)))
+        part = one_bin(y, g[:, :1])
+        kernel = KernelSpec(width_rule="fixed", width=0.1)
+        tracemalloc.start()
+        try:
+            sensitivity_subsim(part, kernel, np.array([1.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            sensitivity_direct_mc((np.array([1.0]), np.array([[1.0]])))
+            one_bin_curve(np.array([1.0]), np.array([[1.0]]))
 
     def test_linearity_in_gradients(self):
         y = RngStream(53).standard_normal(300)
@@ -194,7 +212,7 @@ class TestSubsimEstimator:
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=400, seed=6))
         via_subsim = sensitivity_subsim(bins, y_grid=ccdf.y)
         b = bins.bins[0]
-        via_direct = sensitivity_direct_mc((b.y, b.g), y_grid=ccdf.y)
+        via_direct = one_bin_curve(b.y, b.g, y_grid=ccdf.y)
         assert np.array_equal(via_subsim.raw, via_direct.raw)
         assert via_subsim.widths == via_direct.widths
 
