@@ -80,8 +80,10 @@ class RngStream:
         """Independent child stream of the same seed."""
         return RngStream(self.seed, stream)
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        """Draws of shape ``size``, or into the C-contiguous float64 array ``out``
+        in place (and returned); the stream yields the same bits either way."""
+        return self._gen.standard_normal(size, out=out)
 
 
 def std_normal_pdf(z):

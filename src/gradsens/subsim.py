@@ -11,10 +11,12 @@ and the repeat is stored as a distinct record.
 Samples are grouped into threshold bins: bin i holds the level-i records not
 promoted to seeds (exactly (1-p0)N of them), carrying probability
 p0^i (1-p0); the last bin holds all N top-level records with probability
-p0^(m-1).  Candidate batches are evaluated per step in chain order.
-``run_lockstep`` advances the runs of one configuration at a group of seeds
-together; a run is bit-reproducible from its seed alone, independent of
-thread count and of the group it ran in.
+p0^(m-1).  Candidate batches are evaluated per step in chain order.  No
+level's inputs are held whole: level 0 is drawn in row blocks, a chain level
+holds its current states, and the seeds come from a running top of each
+level's records.  ``run_lockstep`` advances the runs of one configuration at a
+group of seeds together; a run is bit-reproducible from its seed alone,
+independent of thread count and of the group it ran in.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
 _CHAIN_STREAM_BASE = 2
+_BLOCK_BYTES = 2 << 20  # inputs per level-0 block of a rows_independent model
 
 
 def _chain_stream(level: int, chain: int) -> int:
@@ -127,21 +130,23 @@ def correlation_param(i: int, p0: float):
     return a, math.sqrt(1.0 - a * a)
 
 
-def _advance_chains(model, x, y, g, b, a, s, streams, where, calls):
+def _advance_chains(model, x, y, g, b, a, s, streams, where, calls, z, xc):
     """One synchronous step of every chain of a group of runs, in place.
 
     ``x``, ``y`` and ``g`` hold the chain states as (runs, chains, ...) arrays,
     ``b`` the runs' thresholds, ``streams`` one stream per chain, run by run, and
-    ``where`` the runs' error labels.  Each slice of runs in ``calls`` has its
-    candidates evaluated in one model call; deferred gradients are one call per
-    run.  Returns the accept mask.
+    ``where`` the runs' error labels.  ``z`` and ``xc`` are C-contiguous scratch
+    arrays of the shape of ``x``, reused by every step of a level.  Each slice of
+    runs in ``calls`` has its candidates evaluated in one model call; deferred
+    gradients are one call per run.  Returns the accept mask.
     """
     runs, nc, n = x.shape
     npar = g.shape[2]
-    z = np.empty_like(x)
     for row, stream in zip(z.reshape(-1, n), streams):
-        row[...] = stream.standard_normal(n)
-    xc = a * x + s * z
+        stream.standard_normal(out=row)
+    np.multiply(x, a, out=xc)  # xc = a x + s z
+    np.multiply(z, s, out=z)
+    np.add(xc, z, out=xc)
     yc, gc = np.empty((runs, nc)), np.empty((runs, nc, npar))
     eager = model.eager_gradients
     for part in calls:
@@ -164,6 +169,22 @@ def _advance_chains(model, x, y, g, b, a, s, streams, where, calls):
     return acc
 
 
+def _keep_top(top, y, x, size):
+    """The running top of a level: ``top`` = (responses, inputs) of the first
+    ``size`` records of the rows seen so far in the order (-y, row), updated with
+    the responses ``y`` and inputs ``x`` of the next rows.  Over every row this is
+    ``argsort(-y, kind="stable")[:size]``: ``top`` holds only earlier rows, so a
+    stable sort keeps ties in row order.  The result shares no memory with ``x``.
+    """
+    ty, tx = top
+    if ty.shape[0] == size:  # a later row enters only above the last one kept
+        new = y > ty[-1]
+        y, x = y[new], x[new]
+    both = np.concatenate([ty, y])
+    keep = np.argsort(-both, kind="stable")[:size]
+    return both[keep], np.concatenate([tx, x])[keep]
+
+
 def run_subset_simulation(model: ResponseModel, config: SsConfig):
     """Full run: returns the threshold-bin partition and the CCDF curve.
 
@@ -181,63 +202,85 @@ def run_lockstep(model: ResponseModel, config: SsConfig, seeds) -> list:
     advanced level by level and chain step by chain step together: one
     (partition, CCDF) per seed, each bit-equal to ``run_subset_simulation`` at it.
 
-    Level 0 and deferred gradients are one model call per run.  A chain step
-    evaluates the candidates of every run in one call, each row against its
-    run's threshold, when ``model.spec.rows_independent`` is set and each run
-    has at least 2 chains (a 1-row block may round differently); otherwise it
-    makes one call per run.
+    Level 0 is drawn and evaluated run by run: for a ``model.spec.rows_independent``
+    model in even blocks of 2 rows or more and at most about ``_BLOCK_BYTES`` of
+    inputs, otherwise in one call.  A chain step evaluates the candidates of every
+    run in one call, each row against its run's threshold, when
+    ``rows_independent`` is set and each run has at least 2 chains (a 1-row block
+    may round differently); otherwise it makes one call per run.  Deferred
+    gradients are one call per run.  No level's inputs are held: each run keeps
+    the chain states and a running top of p0*N records (``_keep_top``), the next
+    level's seeds; the responses and gradients of every record stay for the bins.
     """
     runs = len(seeds)
     N, m, p0 = config.n_per_level, config.m, config.p0
     nc, clen = config.n_chains, config.chain_len
     n = model.spec.input_dim
     npar = len(model.spec.sensitivity_params)
-    calls = ([slice(0, runs)] if model.spec.rows_independent and nc >= 2
-             else [slice(k, k + 1) for k in range(runs)])
+    stack = model.spec.rows_independent
+    calls = [slice(0, runs)] if stack and nc >= 2 else [slice(k, k + 1) for k in range(runs)]
+    blocks = max(1, min(-(-8 * n * N // _BLOCK_BYTES), N // 2)) if stack else 1
+    edges = [N * i // blocks for i in range(blocks + 1)]
     roots = [RngStream(seed) for seed in seeds]
     levels_y, thresholds, bins = ([[] for _ in seeds] for _ in range(3))
-    heads = [None] * runs  # per run, copies of the next level's chain seeds
+    heads = [None] * runs  # per run, the next level's chain seeds (x, y, g)
 
     for level in range(m):
         where = [f"at level {level} (seed {seed})" for seed in seeds]
+        tops = [(np.empty(0), np.empty((0, n)))] * runs
+        ranked = level < m - 1  # the last level is one bin and seeds no level
         if level:
             b = np.array([t[-1] for t in thresholds])
-            # free the previous level's states, and views of them, before allocating
-            # this level's; row t * nc + c of a run's level is step t of chain c
-            xs = gs = x = g = None
-            xs, ys, gs = (np.empty((runs, clen) + h.shape, h.dtype) for h in heads[0])
-            for k, head in enumerate(heads):
-                xs[k, 0], ys[k, 0], gs[k, 0] = head
+            # free the previous level's states before allocating this level's; row
+            # t * nc + c of a run's level is step t of chain c
+            buf = x = ys = gs = z = xc = None
+            x = np.stack([head[0] for head in heads])
+            ys, gs = np.empty((runs, clen, nc)), np.empty((runs, clen, nc, npar))
+            for k, (_, hy, hg) in enumerate(heads):
+                ys[k, 0], gs[k, 0] = hy, hg
+            heads = [None] * runs
+            z, xc = np.empty_like(x), np.empty_like(x)
             a, s = correlation_param(level, p0)
             streams = [root.split(_chain_stream(level, c)) for root in roots for c in range(nc)]
-            for t in range(1, clen):
-                xs[:, t], ys[:, t], gs[:, t] = xs[:, t - 1], ys[:, t - 1], gs[:, t - 1]
-                _advance_chains(model, xs[:, t], ys[:, t], gs[:, t], b, a, s, streams, where,
-                                calls)
-        # each run's level is split as soon as it is done, so that one run's level-0
-        # inputs are freed before the next run's are drawn
-        for k, root in enumerate(roots):
+            for t in range(clen):
+                if t:
+                    ys[:, t], gs[:, t] = ys[:, t - 1], gs[:, t - 1]
+                    _advance_chains(model, x, ys[:, t], gs[:, t], b, a, s, streams, where,
+                                    calls, z, xc)
+                if ranked:
+                    tops = [_keep_top(top, ys[k, t], x[k], nc) for k, top in enumerate(tops)]
+        else:
+            buf = np.empty((-(-N // blocks), n))  # refilled by every level-0 block
+        for k, (root, seed) in enumerate(zip(roots, seeds)):
             if level:
-                x, y, g = xs[k].reshape(N, n), ys[k].reshape(N), gs[k].reshape(N, npar)
+                y, g = ys[k].reshape(N), gs[k].reshape(N, npar)
             else:
-                x = root.split(_LEVEL0_STREAM).standard_normal((N, n))
-                y, g = model.evaluate_batch(x)
-                _check_finite(where[k : k + 1], N, npar, y, g)
+                y, g = np.empty(N), np.empty((N, npar))
+                stream = root.split(_LEVEL0_STREAM)
+                for lo, hi in zip(edges, edges[1:]):
+                    xb = stream.standard_normal(out=buf[: hi - lo])
+                    yb, gb = model.evaluate_batch(xb)
+                    label = where[k] if blocks == 1 else f"at level 0 rows {lo}-{hi} (seed {seed})"
+                    _check_finite([label], hi - lo, npar, yb, gb)
+                    y[lo:hi], g[lo:hi] = yb, gb
+                    if ranked:
+                        tops[k] = _keep_top(tops[k], yb, xb, nc)
             levels_y[k].append(y)
-            rest = slice(None)  # the last level is one bin
-            if level < m - 1:
+            rest = slice(None)
+            if ranked:
                 order = np.argsort(-y, kind="stable")
-                top, rest = order[:nc], order[nc:]
-                bk = float(y[top[-1]])
+                rest = order[nc:]
+                ty, tx = tops[k]
+                bk = float(ty[-1])
                 # a rejected move repeats its state, so count distinct inputs only
-                if len({row.tobytes() for row in x[top[y[top] == bk]]}) > max(1, 0.01 * nc):
+                if len({row.tobytes() for row in tx[ty == bk]}) > max(1, 0.01 * nc):
                     # stacklevel 3 names the caller of run_subset_simulation or repeat_runs
                     warnings.warn(f"more than 1% of level-{level + 1} seeds are distinct inputs "
                                   "tied at the threshold", ThresholdTieWarning, stacklevel=3)
                 thresholds[k].append(bk)
-                heads[k] = x[top], y[top], g[top]
+                heads[k] = tx, ty, g[order[:nc]]
             bins[k].append(Bin(y=y[rest], g=g[rest],
-                               probability=p0**level * (1.0 - p0 if level < m - 1 else 1.0)))
+                               probability=p0**level * (1.0 - p0 if ranked else 1.0)))
 
     names = tuple(model.spec.sensitivity_params)
     partitions = [BinPartition(thresholds=np.array(t), bins=bs, param_names=names)

@@ -73,6 +73,13 @@ class TestRngStream:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
+    def test_draws_into_out_have_the_bits_of_returned_draws(self):
+        a, b = RngStream(9, 3), RngStream(9, 3)
+        out = np.empty((4, 5))
+        assert a.standard_normal(out=out) is out
+        assert np.array_equal(out, b.standard_normal((4, 5)))
+        assert np.array_equal(a.standard_normal(7), b.standard_normal(7))  # still in step
+
     def test_split(self):
         root = RngStream(9)
         assert np.array_equal(root.split(3).standard_normal(8),

@@ -17,7 +17,7 @@ from gradsens.numkit import RngStream
 from gradsens.responses import NormalResponse
 from gradsens.sensest import (_GRID_CHUNK, DegenerateResponseError, KernelSpec,
                               sensitivity_subsim)
-from gradsens.subsim import Bin, BinPartition, SsConfig, run_subset_simulation
+from gradsens.subsim import Bin, BinPartition, SsConfig, _keep_top, run_subset_simulation
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODEL = NormalResponse()
@@ -209,3 +209,21 @@ def test_config_accepts_every_whole_chain_layout(n_chains, data):
     n = n_chains * chain_len
     config = SsConfig(m=2, p0=n_chains / n, n_per_level=n)
     assert (config.n_chains, config.chain_len) == (n_chains, chain_len)
+
+
+# few values, so ties are many, and -0.0 beside 0.0, which compare equal
+responses = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5]), st.floats(-2.0, 2.0))
+
+
+@PROPERTY
+@given(st.lists(responses, min_size=1, max_size=60), st.integers(1, 20), st.data())
+def test_running_top_is_the_stable_top(ys, size, data):
+    # a block split, 1-row blocks included; each input is its row number
+    y = np.array(ys)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(ys) - 1))) if len(ys) > 1 else [])
+    top = (np.empty(0), np.empty((0, 1)))
+    for lo, hi in zip([0, *cuts], [*cuts, len(ys)]):
+        top = _keep_top(top, y[lo:hi], np.arange(lo, hi, dtype=float)[:, None], size)
+    want = np.argsort(-y, kind="stable")[:size]
+    assert np.array_equal(top[1][:, 0], want)
+    assert np.array_equal(bits(top[0]), bits(y[want]))

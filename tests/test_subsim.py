@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from gradsens import cli
+from gradsens import cli, subsim
 from gradsens.model import ModelDomainError, ModelSpec, ResponseModel
 from gradsens.numkit import RngStream
 from gradsens.responses import MODEL_BUILDERS, NormalResponse, build_model
@@ -87,9 +88,10 @@ def advance(model, state, threshold, a, streams, steps=1):
     as the chains of one run (seed 0)."""
     x, y, g = (v[None] for v in state)
     s = math.sqrt(1.0 - a * a)
+    z, xc = np.empty_like(x), np.empty_like(x)
     for _ in range(steps):
         acc = _advance_chains(model, x, y, g, np.array([threshold]), a, s, streams,
-                              where=["at level 1 (seed 0)"], calls=[slice(0, 1)])
+                              where=["at level 1 (seed 0)"], calls=[slice(0, 1)], z=z, xc=xc)
     return acc[0]
 
 
@@ -483,3 +485,67 @@ class TestLockstep:
                            match=r"shapes \(20, 1\) and \(20, 3\) for 20 rows .* at level 1 "
                                  r"\(seed 4\)$"):
             run_lockstep(ColumnNormal(3, []), SsConfig(m=2, p0=0.1, n_per_level=200), (4, 7))
+
+
+def call_rows(model, monkeypatch):
+    """The row count of every ``evaluate_batch`` call ``model`` makes from now on."""
+    rows, evaluate = [], model.evaluate_batch
+
+    def spy(x):
+        rows.append(x.shape[0])
+        return evaluate(x)
+
+    monkeypatch.setattr(model, "evaluate_batch", spy)
+    return rows
+
+
+class TestLevelZeroBlocks:
+    """Level 0 of a ``rows_independent`` model in row blocks has the bits of one
+    whole-level call, and the engine's memory is bounded by a block, not a level."""
+
+    @pytest.mark.parametrize("name, block_bytes, n_per_level, sizes", [
+        # the default for sdof (8 * 400 bytes a row) at N=1000
+        ("sdof", subsim._BLOCK_BYTES, 1000, [500, 500]),
+        ("sdof", 1_200_000, 1000, [333, 333, 334]),
+        ("normal", 6000, 1000, [333, 333, 334]),
+        # the smallest blocks are 2 rows: one sdof row would round differently
+        ("sdof", 1, 15, [2, 2, 2, 2, 2, 2, 3]),
+    ])
+    def test_blocks_give_the_bits_of_one_call(self, models, monkeypatch, name, block_bytes,
+                                              n_per_level, sizes):
+        model, seeds = models[name], (5, 6)
+        config = SsConfig(m=2, p0=0.2, n_per_level=n_per_level)
+        monkeypatch.setattr(subsim, "_BLOCK_BYTES", 2**62)
+        whole = run_lockstep(model, config, seeds)
+        monkeypatch.setattr(subsim, "_BLOCK_BYTES", block_bytes)
+        rows = call_rows(model, monkeypatch)
+        blocked = run_lockstep(model, config, seeds)
+        assert rows[: 2 * len(sizes)] == sizes * 2
+        for run, want in zip(blocked, whole):
+            assert_same_bits(run, want)
+
+    def test_pile_level0_is_one_call_per_run(self, monkeypatch):
+        # pile is not rows_independent; its chain steps call response_batch
+        model = build_model("pile")
+        monkeypatch.setattr(subsim, "_BLOCK_BYTES", 1)
+        rows = call_rows(model, monkeypatch)
+        run_lockstep(model, SsConfig(m=2, p0=0.1, n_per_level=200), (5, 6))
+        assert rows == [200, 200]
+
+    def test_fault_in_a_later_block_names_its_rows(self, monkeypatch):
+        monkeypatch.setattr(subsim, "_BLOCK_BYTES", 1600)  # 2 blocks of 100 rows of 16 bytes
+        with pytest.raises(ModelDomainError,
+                           match=r"1 of 100 rows at level 0 rows 100-200 \(seed 4\)$"):
+            run_lockstep(NanRowsNormal(2, [5]), SsConfig(m=2, p0=0.1, n_per_level=200), (4, 7))
+
+    def test_engine_memory_is_bounded_by_a_block(self, models):
+        # holding the level's 1e4 x 400 inputs took this run to 154 MiB; blocks of
+        # 2 MiB and the running top of 1e3 seeds keep it near 28 MiB
+        config = SsConfig(m=2, p0=0.1, n_per_level=10_000, seed=3)
+        tracemalloc.start()
+        try:
+            run_subset_simulation(models["sdof"], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
