@@ -31,10 +31,12 @@ from .model import ConfigError, ModelSpec
 from .subsim import BinPartition, CcdfCurve
 
 # Grid rows per kernel matrix.  Each chunk is reduced by one BLAS matmul, whose
-# summation order depends on the row count, so this size fixes the output bits.
+# summation order depends on the row count, so this size fixes the output bits;
+# a smaller chunk would also fall under OpenBLAS's small-matrix kernel.
 _GRID_CHUNK = 1024
-# Rows filled per elementwise pass, so that each pass over a sub-block stays
-# in L2; the fill is elementwise, so this size does not change any value.
+# Rows filled per elementwise pass, in place in the kernel matrix or through a
+# gather buffer, so that each pass over a sub-block stays in L2; the fill is
+# elementwise, so this size does not change any value.
 _FILL_ROWS = 32
 # Below ln(DBL_MIN sqrt(2 pi)) = -707.477479999059433... the pdf is subnormal or
 # +0.0, and each subnormal costs a microcode assist in exp, divide and matmul.
@@ -154,8 +156,11 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     raw = np.zeros((grid.shape[0], npar))
     ncol = max(b.count for b in bins.bins)
     # A chunk keeps its full row count in its product, which rounds a row by the
-    # row count; its rows not wanted are +0.0 there.  Rows are filled in blocks
-    # of _FILL_ROWS wanted rows, gathered and then copied into place.
+    # row count; its rows not filled are +0.0 there.  A row is filled when it is
+    # wanted and not dead for the bin (``_dead_rows``); a chunk with none is
+    # skipped, as its product would add only +-0.0 to ``raw``, which is never
+    # -0.0.  Consecutive rows are filled in place, scattered ones (``repeat``'s
+    # knots) in blocks of _FILL_ROWS gathered and then copied into place.
     wanted = np.zeros(grid.shape[0], dtype=bool)
     wanted[slice(None) if rows is None else rows] = True
     kbuf = np.empty(min(_GRID_CHUNK, grid.shape[0]) * ncol)
@@ -163,44 +168,68 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     part_buf = np.empty(fill)
     zbuf = np.empty(fill)
     under_buf = np.empty(fill, dtype=bool)
-    for b, w in zip(bins.bins, widths):
-        scale = b.probability / (b.count * w)
-        for lo in range(0, grid.shape[0], _GRID_CHUNK):
-            want = wanted[lo : lo + _GRID_CHUNK]
-            sel = np.flatnonzero(want)
-            if not sel.size:
-                continue
-            chunk = grid[lo : lo + _GRID_CHUNK]
-            kmat = kbuf[: chunk.shape[0] * b.count].reshape(chunk.shape[0], -1)
-            kmat[~want] = 0.0
-            with np.errstate(over="ignore"):  # a tiny width overflows z: pdf(inf) is +0.0
+    with np.errstate(over="ignore"):  # a tiny width overflows z: pdf(inf) is +0.0
+        for b, w in zip(bins.bins, widths):
+            scale = b.probability / (b.count * w)
+            live = wanted & ~_dead_rows(grid, b.y, w)
+            for lo in range(0, grid.shape[0], _GRID_CHUNK):
+                want = live[lo : lo + _GRID_CHUNK]
+                sel = np.flatnonzero(want)
+                if not sel.size:
+                    continue
+                chunk = grid[lo : lo + _GRID_CHUNK]
+                kmat = kbuf[: chunk.shape[0] * b.count].reshape(chunk.shape[0], -1)
+                kmat[~want] = 0.0
                 for r in range(0, sel.shape[0], _FILL_ROWS):
                     some = sel[r : r + _FILL_ROWS]
+                    first, last = some[0], some[-1] + 1
+                    if last - first == some.shape[0]:
+                        _fill_pdf(kmat[first:last], b.y, chunk[first:last], w, zbuf, under_buf)
+                        continue
                     part = part_buf[: some.shape[0] * b.count].reshape(some.shape[0], -1)
                     _fill_pdf(part, b.y, chunk[some], w, zbuf, under_buf)
                     kmat[some] = part
-            raw[lo : lo + _GRID_CHUNK] += scale * (kmat @ b.g)
+                raw[lo : lo + _GRID_CHUNK] += scale * (kmat @ b.g)
     raw[~wanted] = np.nan
     return SensitivityCurve(y=y_grid, params=bins.param_names, raw=raw[inverse], widths=widths)
+
+
+def _dead_rows(grid, y, w):
+    """Rows of ``grid`` at which every pdf argument against the samples ``y`` is
+    below _EXP_UNDERFLOW, so that the whole kernel row is +0.0.
+
+    Only a row outside [min y, max y] is tested, at its nearest sample: there
+    the rounded argument ((y - c) / w * -0.5) * ((y - c) / w) is monotone in
+    |y - c|, so no farther sample has a larger one.
+    """
+    lo, hi = y.min(), y.max()
+    z = (np.where(grid < lo, lo, hi) - grid) / w
+    return ((grid < lo) | (grid > hi)) & (z * -0.5 * z < _EXP_UNDERFLOW)
 
 
 def _fill_pdf(out, y, c, w, zbuf, under_buf):
     """out[i, k] = std_normal_pdf((y[k] - c[i]) / w), bit for bit, or +0.0 where that is subnormal.
 
     The operations and their order are those of ``numkit.std_normal_pdf``;
-    ``zbuf`` and ``under_buf`` are scratch space of at least ``out.size``.
+    ``zbuf`` and ``under_buf`` are scratch space of at least ``out.size``.  The
+    difference is taken row by row, which is faster than numpy's broadcast, and
+    a block with no argument below _EXP_UNDERFLOW skips both clamp passes.
     """
     z = zbuf[: out.size].reshape(out.shape)
     under = under_buf[: out.size].reshape(out.shape)
-    np.subtract(y[None, :], c[:, None], out=z)
+    for i in range(c.shape[0]):
+        np.subtract(y, c[i], out=z[i])
     np.divide(z, w, out=z)
     np.multiply(z, -0.5, out=out)
     np.multiply(out, z, out=out)
     np.less(out, _EXP_UNDERFLOW, out=under)
-    np.copyto(out, 0.0, where=under)
+    clamp = under.any()
+    if clamp:
+        np.copyto(out, 0.0, where=under)
     np.exp(out, out=out)
     np.divide(out, _SQRT_2PI, out=out)
-    np.copyto(out, 0.0, where=under)
+    if clamp:
+        np.copyto(out, 0.0, where=under)
 
 
 def normalize_curve(curve: SensitivityCurve, ccdf: CcdfCurve,

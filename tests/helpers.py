@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from gradsens.numkit import std_normal_pdf
 from gradsens.responses import NormalResponse
 from gradsens.subsim import Bin, BinPartition
 
@@ -16,6 +17,23 @@ def one_bin(y, g):
     ``sensitivity_subsim`` gives the direct-MC kernel estimate."""
     return BinPartition(thresholds=np.array([]), bins=[Bin(y=y, g=g, probability=1.0)],
                         param_names=tuple(f"p{j}" for j in range(g.shape[1])))
+
+
+def dense_reference(bins, widths, y_grid):
+    """The estimator as first written: a std_normal_pdf matrix over 1024-row
+    chunks of the unique grid, its subnormal entries set to +0.0 as README's
+    kernel section states, reduced by one matmul per chunk and bin."""
+    grid, inverse = np.unique(np.asarray(y_grid, dtype=float), return_inverse=True)
+    raw = np.zeros((grid.shape[0], bins.bins[0].g.shape[1]))
+    for b, w in zip(bins.bins, widths):
+        scale = b.probability / (b.count * w)
+        for lo in range(0, grid.shape[0], 1024):
+            chunk = grid[lo : lo + 1024]
+            with np.errstate(over="ignore"):
+                kmat = std_normal_pdf((b.y[None, :] - chunk[:, None]) / w)
+            kmat[kmat < np.finfo(float).tiny] = 0.0
+            raw[lo : lo + 1024] += scale * (kmat @ b.g)
+    return raw[inverse]
 
 
 def simulate(model, x, zeta=None, omega=None):

@@ -19,6 +19,8 @@ from gradsens.sensest import (_GRID_CHUNK, DegenerateResponseError, KernelSpec,
                               sensitivity_subsim)
 from gradsens.subsim import Bin, BinPartition, SsConfig, _keep_top, run_subset_simulation
 
+from helpers import dense_reference
+
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODEL = NormalResponse()
 
@@ -176,6 +178,58 @@ def test_sensitivity_on_selected_rows_has_the_full_grids_bits(seed, width, share
     assert part.widths == full.widths
     assert np.array_equal(bits(part.raw[rows]), bits(full.raw[rows]))
     assert np.isnan(part.raw[~wanted]).all()
+
+
+@st.composite
+def gapped_partitions(draw):
+    """2 to 4 bins, each a cluster above the last, and a kernel.  The gaps run
+    from overlap to many widths, so grid rows can be dead for a bin (every pdf
+    entry below the underflow cut); the last gap is at least 45 widths."""
+    k = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(2, 300), min_size=k, max_size=k))
+    npar = draw(st.integers(1, 3))
+    width = draw(st.sampled_from(["scott", "fixed"]))
+    kernel = (KernelSpec() if width == "scott"
+              else KernelSpec(width_rule="fixed", width=draw(st.floats(1e-3, 0.5))))
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    shapes = [draw(st.floats(0.01, 2.0)) * rng.standard_normal(n) for n in counts]
+    # a Scott width is at most 0.93 of the bin's spread
+    unit = max(kernel.width or float(np.std(y)) for y in shapes)
+    gaps = [draw(st.floats(-5.0, 60.0)) for _ in range(k - 2)] + [draw(st.floats(45.0, 80.0))]
+    ys, top = [shapes[0]], shapes[0].max()
+    for y, gap in zip(shapes[1:], gaps):
+        ys.append(y - y.min() + top + gap * unit)
+        top = max(top, ys[-1].max())
+    bins = [Bin(y=y, g=rng.standard_normal((y.shape[0], npar)), probability=1.0 / k) for y in ys]
+    return BinPartition(thresholds=np.array([y.min() for y in ys[1:]]), bins=bins,
+                        param_names=tuple(f"p{j}" for j in range(npar))), kernel
+
+
+@PROPERTY
+@given(gapped_partitions(), st.integers(_GRID_CHUNK, _GRID_CHUNK + 600), st.data())
+def test_sensitivity_has_the_dense_references_bits(case, extra, data):
+    # a grid row is skipped for a bin only where the whole dense row is +0.0; rows
+    # of one run are filled in place, scattered rows through the gather buffer
+    bins, kernel = case
+    widths = sensitivity_subsim(bins, kernel, y_grid=[0.0]).widths
+    # every sample; at least a chunk of even points over the first bin's samples
+    # +-3 widths: the first chunk lies there, wholly dead for the last bin, and
+    # the first bin's rows just beyond its samples are live for it; and 400 even
+    # points over all samples +-40 widths, some near the edge of the dead zones
+    y0, ys, reach = bins.bins[0].y, np.concatenate([b.y for b in bins.bins]), 40.0 * max(widths)
+    near = np.linspace(y0.min() - 3.0 * widths[0], y0.max() + 3.0 * widths[0], extra)
+    span = np.linspace(ys.min() - reach, ys.max() + reach, 400)
+    grid = np.unique(np.concatenate([near, span, ys]))
+    expected = dense_reference(bins, widths, grid)
+    full = sensitivity_subsim(bins, kernel, y_grid=grid)
+    assert np.array_equal(bits(full.raw), bits(expected))
+    # a run of rows and scattered ones, with gaps between them
+    start = data.draw(st.integers(0, grid.size - 1))
+    run = np.arange(start, min(start + data.draw(st.integers(1, 100)), grid.size))
+    scattered = data.draw(st.lists(st.integers(0, grid.size - 1), max_size=60))
+    rows = np.unique(np.concatenate([run, scattered]).astype(int))
+    part = sensitivity_subsim(bins, kernel, y_grid=grid, rows=rows)
+    assert np.array_equal(bits(part.raw[rows]), bits(expected[rows]))
 
 
 @PROPERTY

@@ -13,7 +13,7 @@ from gradsens.sensest import (DegenerateResponseError, KernelSpec, _fill_pdf,
                               sensitivity_subsim)
 from gradsens.subsim import Bin, BinPartition, CcdfCurve, SsConfig, run_subset_simulation
 
-from helpers import one_bin
+from helpers import dense_reference, one_bin
 
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 
@@ -314,20 +314,6 @@ class TestNormalizeCurve:
             normalize_curve(curve, ccdf, m.spec)
 
 
-def dense_reference(bins, widths, y_grid):
-    """The estimator as first written: a std_normal_pdf matrix over 1024-row
-    chunks of the unique grid, reduced by one matmul per chunk and bin."""
-    grid, inverse = np.unique(np.asarray(y_grid, dtype=float), return_inverse=True)
-    raw = np.zeros((grid.shape[0], bins.bins[0].g.shape[1]))
-    for b, w in zip(bins.bins, widths):
-        scale = b.probability / (b.count * w)
-        for lo in range(0, grid.shape[0], 1024):
-            chunk = grid[lo : lo + 1024]
-            kmat = std_normal_pdf((b.y[None, :] - chunk[:, None]) / w)
-            raw[lo : lo + 1024] += scale * (kmat @ b.g)
-    return raw[inverse]
-
-
 def assert_matches_dense(bins, kernel=KernelSpec(), y_grid=None):
     curve = sensitivity_subsim(bins, kernel, y_grid=y_grid)
     grid = curve.y
@@ -383,23 +369,34 @@ class TestDenseReference:
         assert np.all(np.isfinite(curve.raw))
 
 
-def test_kernel_fill_has_no_subnormal_entries():
-    """On the narrow fixed-width fixture every kernel entry is +0.0 or a normal
-    double: pairs whose exact pdf is subnormal come out as +0.0, and the others
-    equal ``std_normal_pdf`` bit for bit."""
+@pytest.mark.parametrize("width", ["fixed:0.02", "scott"])
+def test_kernel_fill_has_no_subnormal_entries(width):
+    """Every kernel entry is +0.0 or a normal double: pairs whose exact pdf is
+    subnormal come out as +0.0, and the others equal ``std_normal_pdf`` bit for
+    bit.  The narrow fixed width flushes many pairs; at the scott width, rows at
+    a bin's own samples make blocks where nothing underflows, so the fill skips
+    its clamp passes and must still give every entry's bits."""
     m = NormalResponse()
     bins, ccdf = run_subset_simulation(m, SsConfig(m=3, p0=0.1, n_per_level=1000, seed=4))
-    w, tiny = 0.02, np.finfo(float).tiny
-    subnormal = 0
+    tiny = np.finfo(float).tiny
+    subnormal = flushed_total = 0
     for b in bins.bins:
-        for lo in range(0, ccdf.y.shape[0], 500):
-            c = ccdf.y[lo : lo + 500]
-            out = np.empty((c.shape[0], b.count))
+        if width == "scott":
+            w, rows = scott_width(float(np.std(b.y)), b.count), np.sort(b.y)
+        else:
+            w, rows = 0.02, ccdf.y
+        for lo in range(0, rows.shape[0], 500):
+            c = rows[lo : lo + 500]
+            out = np.full((c.shape[0], b.count), np.nan)
             _fill_pdf(out, b.y, c, w, np.empty(out.size), np.empty(out.size, dtype=bool))
             exact = std_normal_pdf((b.y[None, :] - c[:, None]) / w)
             assert np.all(out[out != 0.0] >= tiny)
             flushed = exact < tiny
+            flushed_total += np.count_nonzero(flushed)
             subnormal += np.count_nonzero(flushed & (exact > 0.0))
             assert np.all(out.view(np.uint64)[flushed] == 0)  # +0.0, sign bit clear
             assert np.array_equal(out.view(np.uint64)[~flushed], exact.view(np.uint64)[~flushed])
-    assert subnormal > 1000
+    if width == "scott":
+        assert flushed_total == 0
+    else:
+        assert subnormal > 1000
