@@ -85,24 +85,22 @@ def analytic_buckling(y_grid, load=100.0, k2=250.0, *, stiffness=250.0, height=3
                            provenance="analytic")
 
 
-def _check_samples(n_samples, y_grid=None):
-    if n_samples < 1 or (y_grid is None and n_samples < 11):
-        raise ConfigError(f"n_samples={n_samples}: needs at least 1, "
-                          "or at least 11 without a y_grid")
+def _check_samples(n_samples):
+    if n_samples < 11:
+        raise ConfigError(f"n_samples={n_samples}: needs at least 11")
 
 
 def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
-                           rel_step=0.01, seed=0, y_grid=None,
-                           grid_points=256) -> BenchmarkResult:
+                           rel_step=0.01, seed=0, grid_points=256) -> BenchmarkResult:
     """Central differences of direct-MC exceedance estimates on common inputs.
 
     The same input draws feed the up- and down-perturbed responses, so the
     difference variance scales with the step instead of its square.  CCDFs are
-    empirical step functions (exceedance counts), no smoothing.  When no grid
-    is given, one is placed at log-spaced exceedance quantiles of the base run,
+    empirical step functions (exceedance counts), no smoothing.  The grid is
+    placed at ``grid_points`` log-spaced exceedance quantiles of the base run,
     from 0.999 down to 10 / n_samples, so it needs at least 11 samples.
     """
-    _check_samples(n_samples, y_grid)
+    _check_samples(n_samples)
     params = tuple(params or model.spec.sensitivity_params)
     steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
@@ -128,11 +126,9 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
             out[k, lo:hi] = y[k]
     base, moved = out[0], out[1:].reshape(len(params), 2, n_samples)
     base.sort()
-    if y_grid is None:
-        levels = np.logspace(math.log10(0.999), math.log10(max(10.0 / n_samples, 1e-6)),
-                             grid_points)
-        y_grid = np.quantile(base, 1.0 - levels)
-    y_grid = np.asarray(y_grid, dtype=float)
+    levels = np.logspace(math.log10(0.999), math.log10(max(10.0 / n_samples, 1e-6)),
+                         grid_points)
+    y_grid = np.quantile(base, 1.0 - levels)
     f_base = (n_samples - np.searchsorted(base, y_grid, side="left")) / n_samples
     moved.sort(axis=-1)
     # (n - below_up) - (n - below_down) exceedances: an exact integer difference

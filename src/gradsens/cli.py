@@ -107,8 +107,8 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
 
 
 def _estimate(model, kernel, bins, ccdf, rows=None) -> SensitivityCurve:
-    """A run's normalized sensitivity curve at all of its sample values, or at the
-    ``rows`` of their sorted unique values only (NaN elsewhere)."""
+    """A run's normalized sensitivity curve at the thresholds ``ccdf.y``, or at
+    its ``rows`` only (NaN elsewhere)."""
     curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y, rows=rows)
     return normalize_curve(curve, ccdf, model.spec)
 
@@ -149,12 +149,18 @@ def _mean_std(vals):
 
     A grid point with no value has no mean, and one with fewer than 2 finite
     values no sample std: they are NaN, set here instead of leaving numpy to warn.
+    A std whose squares overflowed is taken again from its values scaled by a power of 2.
     """
     empty = np.isnan(vals).all(axis=0)
     mean = np.where(empty, np.nan, np.nanmean(np.where(empty, 0.0, vals), axis=0))
     ok = np.count_nonzero(np.isfinite(vals), axis=0) >= 2
     std = np.full(vals.shape[1:], np.nan)
-    std[ok] = np.nanstd(vals[:, ok], axis=0, ddof=1)
+    with np.errstate(over="ignore"):
+        std[ok] = np.nanstd(vals[:, ok], axis=0, ddof=1)
+    big = np.isinf(std)
+    if big.any():
+        e = np.frexp(np.nanmax(np.abs(vals[:, big]), axis=0))[1]
+        std[big] = np.ldexp(np.nanstd(np.ldexp(vals[:, big], -e), axis=0, ddof=1), e)
     return mean, std
 
 
@@ -329,11 +335,11 @@ def _build_parser():
         sp.add_argument("--param", action="append", default=None,
                         help="sensitivity parameter (repeatable; default: all)")
         sp.add_argument("--out", default="gradsens_out", help="output directory")
+        sp.add_argument("--seed", type=int, default=0)
         if with_ss:
             sp.add_argument("--m", type=int, default=3, help="number of levels")
             sp.add_argument("--p0", type=float, default=0.1, help="level probability")
             sp.add_argument("--n", type=int, default=1000, help="samples per level")
-            sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--width", default="scott",
                             help="'scott', 'scott-global' or 'fixed:<w>'")
 
@@ -351,7 +357,6 @@ def _build_parser():
     common(sp, with_ss=False)
     sp.add_argument("--samples", type=int, default=10**6)
     sp.add_argument("--step", type=float, default=0.01, help="relative FD step")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid-points", type=int, default=256)
     return p
 

@@ -134,20 +134,18 @@ def _bin_widths(bins: BinPartition, kernel: KernelSpec):
                  for i, (b, (sigma, mean)) in enumerate(zip(bins.bins, spreads)))
 
 
-def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
-                       y_grid=None, rows=None) -> SensitivityCurve:
-    """Kernel estimate of dF/da on a threshold grid from SS bins.
+def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec, y_grid,
+                       rows=None) -> SensitivityCurve:
+    """Kernel estimate of dF/da at each threshold of ``y_grid`` from SS bins.
 
-    The grid defaults to all bin sample values, sorted.  Every bin contributes
-    at every grid point; bin i is smoothed with its own width w_i (Scott's
-    rule on the bin's samples unless the kernel says otherwise).  ``rows``, if
-    given, indexes the grid's sorted unique values to evaluate; the estimate
-    is NaN at the others, and a selected row has the bits of the full grid's.
+    Every bin contributes at every grid point; bin i is smoothed with its own
+    width w_i (Scott's rule on the bin's samples unless the kernel says
+    otherwise).  ``rows``, if given, indexes ``y_grid``: the estimate is
+    evaluated at those points and at every copy of their values, with the bits
+    of the full grid's, and is NaN at the others.
     """
     if not bins.bins:
         raise ValueError("empty bin partition")
-    if y_grid is None:
-        y_grid = np.sort(np.concatenate([b.y for b in bins.bins]))
     y_grid = np.asarray(y_grid, dtype=float)
     widths = _bin_widths(bins, kernel)
 
@@ -162,11 +160,10 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
     # -0.0.  Consecutive rows are filled in place, scattered ones (``repeat``'s
     # knots) in blocks of _FILL_ROWS gathered and then copied into place.
     wanted = np.zeros(grid.shape[0], dtype=bool)
-    wanted[slice(None) if rows is None else rows] = True
+    wanted[slice(None) if rows is None else inverse[rows]] = True
     kbuf = np.empty(min(_GRID_CHUNK, grid.shape[0]) * ncol)
     fill = min(_FILL_ROWS, np.count_nonzero(wanted)) * ncol
     part_buf = np.empty(fill)
-    zbuf = np.empty(fill)
     under_buf = np.empty(fill, dtype=bool)
     with np.errstate(over="ignore"):  # a tiny width overflows z: pdf(inf) is +0.0
         for b, w in zip(bins.bins, widths):
@@ -184,10 +181,10 @@ def sensitivity_subsim(bins: BinPartition, kernel: KernelSpec = KernelSpec(),
                     some = sel[r : r + _FILL_ROWS]
                     first, last = some[0], some[-1] + 1
                     if last - first == some.shape[0]:
-                        _fill_pdf(kmat[first:last], b.y, chunk[first:last], w, zbuf, under_buf)
+                        _fill_pdf(kmat[first:last], b.y, chunk[first:last], w, under_buf)
                         continue
                     part = part_buf[: some.shape[0] * b.count].reshape(some.shape[0], -1)
-                    _fill_pdf(part, b.y, chunk[some], w, zbuf, under_buf)
+                    _fill_pdf(part, b.y, chunk[some], w, under_buf)
                     kmat[some] = part
                 raw[lo : lo + _GRID_CHUNK] += scale * (kmat @ b.g)
     raw[~wanted] = np.nan
@@ -199,29 +196,30 @@ def _dead_rows(grid, y, w):
     below _EXP_UNDERFLOW, so that the whole kernel row is +0.0.
 
     Only a row outside [min y, max y] is tested, at its nearest sample: there
-    the rounded argument ((y - c) / w * -0.5) * ((y - c) / w) is monotone in
-    |y - c|, so no farther sample has a larger one.
+    the rounded argument (z * z) * -0.5 with z = (y - c) / w, as ``_fill_pdf``
+    forms it, is monotone in |y - c|, so no farther sample has a larger one.
     """
     lo, hi = y.min(), y.max()
     z = (np.where(grid < lo, lo, hi) - grid) / w
-    return ((grid < lo) | (grid > hi)) & (z * -0.5 * z < _EXP_UNDERFLOW)
+    return ((grid < lo) | (grid > hi)) & (z * z * -0.5 < _EXP_UNDERFLOW)
 
 
-def _fill_pdf(out, y, c, w, zbuf, under_buf):
+def _fill_pdf(out, y, c, w, under_buf):
     """out[i, k] = std_normal_pdf((y[k] - c[i]) / w), bit for bit, or +0.0 where that is subnormal.
 
-    The operations and their order are those of ``numkit.std_normal_pdf``;
-    ``zbuf`` and ``under_buf`` are scratch space of at least ``out.size``.  The
+    The argument is formed in ``out`` as (z * z) * -0.5, where std_normal_pdf
+    takes (z * -0.5) * z: scaling by -0.5 is exact, so they differ only where
+    z * z underflows (exp gives 1.0 either way) or overflows (both are below
+    _EXP_UNDERFLOW).  ``under_buf`` is scratch of at least ``out.size``.  The
     difference is taken row by row, which is faster than numpy's broadcast, and
     a block with no argument below _EXP_UNDERFLOW skips both clamp passes.
     """
-    z = zbuf[: out.size].reshape(out.shape)
     under = under_buf[: out.size].reshape(out.shape)
     for i in range(c.shape[0]):
-        np.subtract(y, c[i], out=z[i])
-    np.divide(z, w, out=z)
-    np.multiply(z, -0.5, out=out)
-    np.multiply(out, z, out=out)
+        np.subtract(y, c[i], out=out[i])
+    np.divide(out, w, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(out, -0.5, out=out)
     np.less(out, _EXP_UNDERFLOW, out=under)
     clamp = under.any()
     if clamp:
@@ -240,7 +238,7 @@ def normalize_curve(curve: SensitivityCurve, ccdf: CcdfCurve,
     Grids must align.  Points where the CCDF estimate is not positive get NaN
     in the fractional measure.
     """
-    if curve.y.shape != ccdf.y.shape or not np.array_equal(curve.y, ccdf.y):
+    if not np.array_equal(curve.y, ccdf.y):
         raise ValueError("sensitivity and CCDF grids are not aligned")
     values = np.array([spec.value(p) for p in curve.params])
     return replace(curve, ccdf=ccdf.f.copy(), values=values)

@@ -188,18 +188,19 @@ class TestCrnCentralDifference:
 
     def test_variance_blowup_without_common_numbers(self):
         # independent up/down sample sets inflate the FD standard deviation by
-        # an order of magnitude at n = 1e4 and a 0.5% step
+        # an order of magnitude at n = 1e4 and a 0.5% step, at y = 1.0 (each CRN
+        # at its grid point nearest 1.0)
         m = NormalResponse()
-        h, n, y = 5e-3, 10**4, np.array([1.0])
+        h, n, y = 5e-3, 10**4, 1.0
         crn, indep = [], []
         for r in range(30):
             res = crn_central_difference(m, params=("loc",), n_samples=n,
-                                         rel_step=h, seed=100 + r, y_grid=y)
-            crn.append(res.df[0, 0])
+                                         rel_step=h, seed=100 + r)
+            crn.append(res.df[np.argmin(np.abs(res.y - y)), 0])
             xp = RngStream(500 + r, 1).standard_normal((n, 2))
             xm = RngStream(900 + r, 1).standard_normal((n, 2))
-            fp = np.mean(m.response_batch(xp, loc=1.0 + h) >= y[0])
-            fm = np.mean(m.response_batch(xm, loc=1.0 - h) >= y[0])
+            fp = np.mean(m.response_batch(xp, loc=1.0 + h) >= y)
+            fm = np.mean(m.response_batch(xm, loc=1.0 - h) >= y)
             indep.append((fp - fm) / (2.0 * h))
         ratio = np.std(indep, ddof=1) / np.std(crn, ddof=1)
         assert ratio >= 10.0
@@ -229,24 +230,18 @@ class TestCrnCentralDifference:
         with pytest.raises(ValueError):
             crn_central_difference(NormalResponse(), rel_step=0.0, n_samples=100)
 
-    @pytest.mark.parametrize("n, y_grid", [(0, None), (-3, None), (9, None), (0, [1.0]),
-                                           (10, None)])
-    def test_rejects_too_few_samples(self, n, y_grid):
-        # the default grid runs from the exceedance level 0.999 down to 10 / n
+    @pytest.mark.parametrize("n, params", [(0, None), (-3, None), (9, None), (10, None),
+                                           (10, ("loc",))])
+    def test_rejects_too_few_samples(self, n, params):
+        # the grid runs from the exceedance level 0.999 down to 10 / n
         with pytest.raises(ValueError, match=f"n_samples={n}"):
-            crn_central_difference(NormalResponse(), n_samples=n, y_grid=y_grid)
+            crn_central_difference(NormalResponse(), params=params, n_samples=n)
 
     def test_fewest_samples_give_a_monotone_default_grid(self):
         # at 10 samples the grid ran backwards: y fell and the CCDF rose
         res = crn_central_difference(NormalResponse(), n_samples=11, grid_points=8)
         assert np.all(np.diff(res.y) >= 0.0)
         assert np.all(np.diff(res.f) <= 0.0)
-
-    def test_few_samples_on_a_given_grid(self):
-        res = crn_central_difference(NormalResponse(), params=("loc",), n_samples=4,
-                                     y_grid=[-10.0, 10.0])
-        assert np.array_equal(res.f, [1.0, 0.0])
-        assert np.array_equal(res.df, [[0.0], [0.0]])
 
     @pytest.mark.parametrize("fault, message", [
         # unchecked, the NaN rows sort last and count as exceedances: F(10) = 0.07
@@ -266,7 +261,7 @@ class TestCrnCentralDifference:
 
 
 def two_pass_crn(model, params=None, n_samples=10**6, rel_step=0.01, seed=0,
-                 y_grid=None, grid_points=256):
+                 grid_points=256):
     """Two-pass CRN differences, the bitwise reference for
     ``crn_central_difference``: base responses first, then the same draws
     again, counting the exceedances of each perturbed block as it comes."""
@@ -279,11 +274,9 @@ def two_pass_crn(model, params=None, n_samples=10**6, rel_step=0.01, seed=0,
         hi = min(lo + _CRN_BLOCK, n_samples)
         base[lo:hi] = model.response_batch(stream.standard_normal((hi - lo, n_dim)))
     base.sort()
-    if y_grid is None:
-        levels = np.logspace(math.log10(0.999), math.log10(max(10.0 / n_samples, 1e-6)),
-                             grid_points)
-        y_grid = np.quantile(base, 1.0 - levels)
-    y_grid = np.asarray(y_grid, dtype=float)
+    levels = np.logspace(math.log10(0.999), math.log10(max(10.0 / n_samples, 1e-6)),
+                         grid_points)
+    y_grid = np.quantile(base, 1.0 - levels)
     f_base = (n_samples - np.searchsorted(base, y_grid, side="left")) / n_samples
     counts = np.zeros((len(params), 2, y_grid.shape[0]))
     stream = RngStream(seed)
@@ -309,8 +302,7 @@ class TestTwoPassReference:
         # five full blocks and a 100-row tail: pile's field rounds by row count
         (PileResponse(), dict(n_samples=20_580, seed=9, grid_points=64)),
         (PileResponse(), dict(params=("B",), rel_step=0.02, n_samples=5000, seed=4)),
-        (NormalResponse(), dict(n_samples=20_000, seed=5,
-                                y_grid=np.linspace(-2.0, 5.0, 57))),
+        (NormalResponse(), dict(n_samples=20_000, seed=5, grid_points=57)),
     ], ids=["sdof", "sdof-1-row-tail", "pile-100-row-tail", "pile-B", "normal-grid"])
     def test_bitwise_equal(self, model, kwargs):
         res = crn_central_difference(model, **kwargs)

@@ -12,7 +12,7 @@ from gradsens import cli
 from gradsens.cli import (_write_csv, _write_outputs, main, read_csv, repeat_runs, single_run,
                           thread_count)
 from gradsens.model import ResponseModel
-from gradsens.responses import NormalResponse, PileResponse
+from gradsens.responses import NormalResponse, PileResponse, build_model
 from gradsens.sensest import KernelSpec, normalize_curve
 from gradsens.subsim import CcdfCurve, SsConfig
 
@@ -526,13 +526,34 @@ class TestRepeatApi:
         mean, std = agg.mean_measure("loc", np.array([-100.0, agg.grid[3], 100.0]))
         assert np.isnan(mean[[0, 2]]).all() and np.isfinite(mean[1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["normal", "sdof"])
+    def test_tiny_width_has_a_finite_spread(self, name):
+        # the estimates reach about 1e299, so the squares of their deviations
+        # overflow; such a std is taken from its values scaled by a power of two
+        model = build_model(name)
+        agg = repeat_runs(model, SsConfig(m=3, p0=0.1, n_per_level=100),
+                          KernelSpec.parse("fixed:1e-300"), (0, 1))
+        p = model.spec.sensitivity_params[0]
+        for which in ("raw", "scaled", "fractional"):
+            mean, std = agg.mean_measure(p, agg.grid, which)
+            vals = np.stack([np.interp(agg.grid, r.curve.y, r.curve.column(p, which),
+                                       left=np.nan, right=np.nan) for r in agg.runs])
+            both = np.isfinite(vals).all(axis=0)
+            assert np.abs(vals[:, both]).max() > 1e200
+            assert np.isfinite(std[both]).all()
+            # two values a and b have the sample std |a - b| / sqrt(2)
+            half = vals[:, both] / 2.0
+            want = np.abs(half[0] - half[1]) * math.sqrt(2.0)
+            assert np.allclose(std[both], want, rtol=1e-14, atol=0.0)
+
     def test_rows_are_evaluated_once_when_first_read(self, monkeypatch):
         calls = []
         kernel_at = cli.sensitivity_subsim
 
-        def spy(bins, kernel, y_grid=None, rows=None):
+        def spy(bins, kernel, y_grid, rows=None):
             calls.append(None if rows is None else len(rows))
-            return kernel_at(bins, kernel, y_grid=y_grid, rows=rows)
+            return kernel_at(bins, kernel, y_grid, rows)
 
         monkeypatch.setattr(cli, "sensitivity_subsim", spy)
         m, kernel = NormalResponse(), KernelSpec()
@@ -546,7 +567,7 @@ class TestRepeatApi:
         got = [agg.mean_measure(p, y, which) for p in ("loc", "scale")
                for which in ("raw", "scaled", "fractional")]
         assert len(calls) == 4  # one more evaluation per run, of the missing rows
-        full = [normalize_curve(kernel_at(r.bins, kernel, y_grid=r.curve.y),
+        full = [normalize_curve(kernel_at(r.bins, kernel, r.curve.y),
                                 CcdfCurve(r.curve.y, r.curve.ccdf), m.spec) for r in agg.runs]
         want = [cli._mean_std(np.stack([np.interp(y, c.y, c.column(p, which), left=np.nan,
                                                   right=np.nan) for c in full]))

@@ -136,7 +136,7 @@ def test_sample_record_rejects_nonfinite():
     lambda: _select_params(NormalResponse(), ["bogus"]),
     lambda: build_model("nope"),
     lambda: NormalResponse().spec.value("bogus"),
-    lambda: crn_central_difference(NormalResponse(), params=("bogus",), n_samples=10),
+    lambda: crn_central_difference(NormalResponse(), params=("bogus",), n_samples=11),
 ], ids=["levels", "p0", "p0-to-the-m", "width-rule", "width-number", "width-zero", "scott-width",
         "fd-step", "seed", "one-sample-bin", "crn-samples", "grid-points", "one-run", "param",
         "model-name", "spec-value", "crn-param"])

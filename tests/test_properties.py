@@ -14,15 +14,17 @@ from hypothesis import strategies as st
 
 from gradsens.cli import _knots
 from gradsens.numkit import RngStream
-from gradsens.responses import NormalResponse
+from gradsens.responses import NormalResponse, build_model
 from gradsens.sensest import (_GRID_CHUNK, DegenerateResponseError, KernelSpec,
                               sensitivity_subsim)
-from gradsens.subsim import Bin, BinPartition, SsConfig, _keep_top, run_subset_simulation
+from gradsens.subsim import (Bin, BinPartition, SsConfig, _keep_top, run_lockstep,
+                             run_subset_simulation)
 
 from helpers import dense_reference
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODEL = NormalResponse()
+SCOTT = KernelSpec()
 
 
 @st.composite
@@ -75,31 +77,33 @@ def test_ccdf_is_a_monotone_exceedance_curve(config):
 @PROPERTY
 @given(kernel_configs, coefficients, coefficients)
 def test_sensitivity_linear_in_gradients(config, a, b):
-    bins, _ = run_subset_simulation(MODEL, config)
+    bins, ccdf = run_subset_simulation(MODEL, config)
     rng = RngStream(config.seed, 1)
     other = with_gradients(bins, lambda y, g: (y, rng.standard_normal(g.shape)))
     combined = replace(bins, bins=[replace(b1, g=a * b1.g + b * b2.g)
                                    for b1, b2 in zip(bins.bins, other.bins)])
-    s1 = sensitivity_subsim(bins).raw
-    s2 = sensitivity_subsim(other).raw
+
+    def raw(part):
+        return sensitivity_subsim(part, SCOTT, ccdf.y).raw
+
+    s1, s2 = raw(bins), raw(other)
     # kernel weights are positive, so the smoothed |g| bounds each sum's magnitude
-    bound = (abs(a) * sensitivity_subsim(with_gradients(bins, lambda y, g: (y, abs(g)))).raw
-             + abs(b) * sensitivity_subsim(with_gradients(other, lambda y, g: (y, abs(g)))).raw)
-    err = np.abs(sensitivity_subsim(combined).raw - (a * s1 + b * s2))
+    bound = (abs(a) * raw(with_gradients(bins, lambda y, g: (y, abs(g))))
+             + abs(b) * raw(with_gradients(other, lambda y, g: (y, abs(g)))))
+    err = np.abs(raw(combined) - (a * s1 + b * s2))
     assert np.all(err <= 1e-12 * bound + 1e-300)
     # scaling by a power of two is exact in floating point
-    doubled = with_gradients(bins, lambda y, g: (y, 2.0 * g))
-    assert np.array_equal(sensitivity_subsim(doubled).raw, 2.0 * s1)
+    assert np.array_equal(raw(with_gradients(bins, lambda y, g: (y, 2.0 * g))), 2.0 * s1)
 
 
 @PROPERTY
 @given(kernel_configs)
 def test_sensitivity_reflection_symmetry(config):
-    bins, _ = run_subset_simulation(MODEL, config)
-    curve = sensitivity_subsim(bins)
-    mirrored = sensitivity_subsim(with_gradients(bins, lambda y, g: (-y, -g)))
-    # the default grid is the sorted sample values, so the reflected grid runs backwards
-    assert np.array_equal(mirrored.y, -curve.y[::-1])
+    bins, ccdf = run_subset_simulation(MODEL, config)
+    curve = sensitivity_subsim(bins, SCOTT, ccdf.y)
+    # on the reflected grid in ascending order, so its rows run backwards
+    mirrored = sensitivity_subsim(with_gradients(bins, lambda y, g: (-y, -g)), SCOTT,
+                                  -ccdf.y[::-1])
     assert mirrored.widths == curve.widths
     scale = np.abs(curve.raw).max()
     assert np.allclose(mirrored.raw[::-1], -curve.raw, rtol=1e-12, atol=1e-12 * scale)
@@ -232,6 +236,22 @@ def test_sensitivity_has_the_dense_references_bits(case, extra, data):
     assert np.array_equal(bits(part.raw[rows]), bits(expected[rows]))
 
 
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from(["normal", "sdof"]), st.integers(0, 2**32 - 1),
+       st.sampled_from([-300.0, -200.0, -160.0, -154.0, -100.0, -10.0]) | st.floats(-300.0, -1.0))
+def test_tiny_fixed_widths_have_the_dense_references_bits(name, seed, exponent):
+    # below a width of about 1e-154, z = (y - c) / w squared overflows, and below
+    # 1e-300 z itself; the fill's (z * z) * -0.5 is then -inf where std_normal_pdf's
+    # (z * -0.5) * z may be finite, but both are below the underflow cut
+    bins, ccdf = run_subset_simulation(build_model(name),
+                                       SsConfig(m=3, p0=0.1, n_per_level=200, seed=seed))
+    kernel = KernelSpec(width_rule="fixed", width=10.0**exponent)
+    grid = np.concatenate([ccdf.y, 0.5 * (ccdf.y[1:] + ccdf.y[:-1])])
+    full = sensitivity_subsim(bins, kernel, grid)
+    assert np.array_equal(bits(full.raw), bits(dense_reference(bins, full.widths, grid)))
+    assert np.all(np.isfinite(full.raw))
+
+
 @PROPERTY
 @given(kernel_configs, st.floats(-1e8, 1e8, allow_nan=False))
 def test_scott_global_widths_ignore_a_shift(config, c):
@@ -263,6 +283,32 @@ def test_config_accepts_every_whole_chain_layout(n_chains, data):
     n = n_chains * chain_len
     config = SsConfig(m=2, p0=n_chains / n, n_per_level=n)
     assert (config.n_chains, config.chain_len) == (n_chains, chain_len)
+
+
+LOCKSTEP_MODELS = {name: build_model(name) for name in ("normal", "sdof", "pile")}
+# seeds on both sides of 2**63, where a signed 64-bit seed would wrap
+seeds_lists = st.lists(st.integers(0, 2**64 - 1) | st.integers(2**63, 2**64 - 1),
+                       min_size=1, max_size=4, unique=True)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(LOCKSTEP_MODELS)), st.sampled_from([0.1, 0.2, 0.5]),
+       st.integers(1, 6), st.integers(1, 3), seeds_lists)
+def test_lockstep_runs_have_their_solo_runs_bits(name, p0, n_chains, m, seeds):
+    # one chain per run makes one call per run, more stack a group's chain steps
+    model = LOCKSTEP_MODELS[name]
+    config = SsConfig(m=m, p0=p0, n_per_level=n_chains * round(1.0 / p0))
+    group = run_lockstep(model, config, seeds)
+    assert len(group) == len(seeds)
+    for (bins, ccdf), seed in zip(group, seeds):
+        bins0, ccdf0 = run_subset_simulation(model, replace(config, seed=seed))
+        assert np.array_equal(bits(bins.thresholds), bits(bins0.thresholds))
+        assert len(bins.bins) == len(bins0.bins)
+        for b, b0 in zip(bins.bins, bins0.bins):
+            for got, want in ((b.y, b0.y), (b.g, b0.g), (b.probability, b0.probability)):
+                assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(ccdf.y), bits(ccdf0.y))
+        assert np.array_equal(bits(ccdf.f), bits(ccdf0.f))
 
 
 # few values, so ties are many, and -0.0 beside 0.0, which compare equal

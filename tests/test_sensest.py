@@ -62,12 +62,12 @@ class TestKernelSpec:
         y, g = NormalResponse().evaluate_batch(RngStream(12).standard_normal((200, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = one_bin_curve(y, g, kernel=KernelSpec.parse("fixed:1e-300"))
+            curve = one_bin_curve(y, g, KernelSpec.parse("fixed:1e-300"), y)
         assert np.all(np.isfinite(curve.raw))
 
 
-def one_bin_curve(y, g, **kw):
-    return sensitivity_subsim(one_bin(y, g), **kw)
+def one_bin_curve(y, g, kernel, y_grid):
+    return sensitivity_subsim(one_bin(y, g), kernel, y_grid)
 
 
 def two_pass_sigma(bins):
@@ -76,6 +76,7 @@ def two_pass_sigma(bins):
     return math.sqrt(sum(b.probability * np.mean((b.y - mean) ** 2) for b in bins.bins))
 
 
+SCOTT = KernelSpec()
 GLOBAL = KernelSpec(width_rule="scott-global")
 
 
@@ -85,17 +86,18 @@ class TestResponseMoments:
     def test_direct_mc_equals_sample_moments(self):
         # on one bin the two-pass spread is np.std's own arithmetic
         m = NormalResponse()
-        bins, _ = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=500, seed=5))
-        assert sensitivity_subsim(bins, GLOBAL).widths == sensitivity_subsim(bins).widths
+        bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=500, seed=5))
+        assert (sensitivity_subsim(bins, GLOBAL, ccdf.y).widths
+                == sensitivity_subsim(bins, SCOTT, ccdf.y).widths)
 
     def test_constant_response_gives_zero_variance(self):
         m = NormalResponse()
         bins, _ = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=100, seed=5))
         bins.bins[0].y = np.full(100, 3.0)
         with pytest.raises(DegenerateResponseError):
-            sensitivity_subsim(bins, GLOBAL)
+            sensitivity_subsim(bins, GLOBAL, [3.0])
 
-    @pytest.mark.parametrize("kernel", [KernelSpec(), GLOBAL], ids=["scott", "scott-global"])
+    @pytest.mark.parametrize("kernel", [SCOTT, GLOBAL], ids=["scott", "scott-global"])
     @pytest.mark.parametrize("c", [7.3, -7.3])
     def test_constant_response_with_roundoff_spread(self, kernel, c):
         # np.mean of 900 copies of 7.3 is not 7.3: the spread is a few eps |c|, not 0
@@ -104,7 +106,7 @@ class TestResponseMoments:
             b.y = np.full(b.count, c)
         assert np.std(bins.bins[0].y) > 0.0
         with pytest.raises(DegenerateResponseError, match="in bin 0 of 900 samples"):
-            sensitivity_subsim(bins, kernel)
+            sensitivity_subsim(bins, kernel, [c])
 
     def test_subsim_moments_recover_unconditional(self):
         # the total-probability spread from 200 SS runs of the unit normal response
@@ -129,7 +131,7 @@ class TestResponseMoments:
 class TestDirectMcEstimator:
     def test_zero_gradients_zero_curve(self):
         y = RngStream(50).standard_normal(500)
-        curve = one_bin_curve(y, np.zeros((500, 2)))
+        curve = one_bin_curve(y, np.zeros((500, 2)), SCOTT, y)
         assert np.array_equal(curve.raw, np.zeros((500, 2)))
 
     def test_recovers_normal_density_at_center(self):
@@ -137,7 +139,7 @@ class TestDirectMcEstimator:
         m = NormalResponse()
         x = RngStream(51).standard_normal((10**6, 2))
         y, g = m.evaluate_batch(x)
-        curve = one_bin_curve(y, g[:, :1], y_grid=np.array([1.0]))
+        curve = one_bin_curve(y, g[:, :1], SCOTT, np.array([1.0]))
         assert curve.raw[0, 0] == pytest.approx(scipy.stats.norm.pdf(0.0), rel=0.02)
 
     def test_bias_shrinks_with_width(self):
@@ -150,15 +152,14 @@ class TestDirectMcEstimator:
                 x = RngStream(52 + r).standard_normal((10**5, 2))
                 y, g = m.evaluate_batch(x)
                 kern = KernelSpec(width_rule="fixed", width=w)
-                est.append(one_bin_curve(y, g[:, :1], kernel=kern,
-                                         y_grid=np.array([1.0])).raw[0, 0])
+                est.append(one_bin_curve(y, g[:, :1], kern, np.array([1.0])).raw[0, 0])
             bias[w] = abs(np.mean(est) - exact)
         assert bias[0.1] < bias[0.2]
 
     def test_one_row_memory_peak(self):
         # criterion 3's call at a fifth of its size: the (rows, samples) kernel
-        # chunk and the fill's three scratch arrays, sized for one row: 4.8 MiB
-        # at 2e5 samples; scratch for 32 rows would take 105 MiB
+        # chunk and the fill's two scratch arrays, sized for one row: 3.2 MiB
+        # at 2e5 samples; scratch for 32 rows would take 55 MiB
         y, g = NormalResponse().evaluate_batch(RngStream(58).standard_normal((200_000, 2)))
         part = one_bin(y, g[:, :1])
         kernel = KernelSpec(width_rule="fixed", width=0.1)
@@ -172,13 +173,13 @@ class TestDirectMcEstimator:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            one_bin_curve(np.array([1.0]), np.array([[1.0]]))
+            one_bin_curve(np.array([1.0]), np.array([[1.0]]), SCOTT, [1.0])
 
     def test_linearity_in_gradients(self):
         y = RngStream(53).standard_normal(300)
         g = RngStream(54).standard_normal((300, 1))
-        base = one_bin_curve(y, g)
-        tripled = one_bin_curve(y, 3.0 * g)
+        base = one_bin_curve(y, g, SCOTT, y)
+        tripled = one_bin_curve(y, 3.0 * g, SCOTT, y)
         assert np.allclose(tripled.raw, 3.0 * base.raw, rtol=1e-12)
 
     def test_reflection_symmetry(self):
@@ -187,8 +188,8 @@ class TestDirectMcEstimator:
         half = np.linspace(0.0, 2.0, 21)
         grid = np.concatenate([-half[::-1], half[1:]])  # bitwise sign-symmetric
         kern = KernelSpec(width_rule="fixed", width=0.3)
-        a = one_bin_curve(y, g, kernel=kern, y_grid=grid)
-        b = one_bin_curve(-y, g, kernel=kern, y_grid=-grid)
+        a = one_bin_curve(y, g, kern, grid)
+        b = one_bin_curve(-y, g, kern, -grid)
         # kernel weights are bitwise mirror-equal; the BLAS row reduction
         # order is position dependent, so allow last-place rounding
         assert np.allclose(a.raw, b.raw, rtol=1e-14, atol=1e-18)
@@ -201,7 +202,7 @@ class TestDirectMcEstimator:
         w = 0.2
         grid = np.linspace(y.min() - 8 * w, y.max() + 8 * w, 4001)
         kern = KernelSpec(width_rule="fixed", width=w)
-        curve = one_bin_curve(y, g, kernel=kern, y_grid=grid)
+        curve = one_bin_curve(y, g, kern, grid)
         integral = np.trapezoid(curve.raw[:, 0], grid)
         assert integral == pytest.approx(np.mean(g[:, 0]), rel=1e-3)
 
@@ -210,9 +211,9 @@ class TestSubsimEstimator:
     def test_single_level_identical_to_direct(self):
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=400, seed=6))
-        via_subsim = sensitivity_subsim(bins, y_grid=ccdf.y)
+        via_subsim = sensitivity_subsim(bins, SCOTT, ccdf.y)
         b = bins.bins[0]
-        via_direct = one_bin_curve(b.y, b.g, y_grid=ccdf.y)
+        via_direct = one_bin_curve(b.y, b.g, SCOTT, ccdf.y)
         assert np.array_equal(via_subsim.raw, via_direct.raw)
         assert via_subsim.widths == via_direct.widths
 
@@ -221,29 +222,38 @@ class TestSubsimEstimator:
         # kernels cross bin boundaries
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(**DEFAULT, seed=8))
-        base = sensitivity_subsim(bins, y_grid=ccdf.y)
+        base = sensitivity_subsim(bins, SCOTT, ccdf.y)
         bins.bins[0].g = np.zeros_like(bins.bins[0].g)
-        pruned = sensitivity_subsim(bins, y_grid=ccdf.y)
+        pruned = sensitivity_subsim(bins, SCOTT, ccdf.y)
         top = np.searchsorted(ccdf.y, bins.thresholds[-1])
         assert not np.allclose(base.raw[top:], pruned.raw[top:])
 
-    def test_default_grid_is_bin_samples_sorted(self):
-        m = NormalResponse()
-        bins, _ = run_subset_simulation(m, SsConfig(**DEFAULT, seed=9))
-        curve = sensitivity_subsim(bins)
-        assert np.array_equal(curve.y, np.sort(np.concatenate([b.y for b in bins.bins])))
+    def test_rows_index_the_grid_with_its_copies(self):
+        # rows index y_grid itself, unsorted and with copies: one selected copy
+        # evaluates its value, every copy of it carries the estimate
+        bins, ccdf = run_subset_simulation(NormalResponse(),
+                                           SsConfig(m=2, p0=0.1, n_per_level=200, seed=3))
+        grid = np.concatenate([ccdf.y[::-1], ccdf.y[:5], ccdf.y[-40:]])
+        k = 5  # a copy of the 6th highest threshold; the 6th lowest unique value is not
+        copies = grid == grid[k]
+        assert np.count_nonzero(copies) >= 2
+        part = sensitivity_subsim(bins, SCOTT, grid, rows=[k])
+        full = sensitivity_subsim(bins, SCOTT, grid)
+        assert np.array_equal(part.y, grid)
+        assert np.array_equal(part.raw[copies].view(np.uint64), full.raw[copies].view(np.uint64))
+        assert np.isnan(part.raw[~copies]).all()
 
     def test_scott_global_widths_follow_spec_formula(self):
         m = NormalResponse()
-        bins, _ = run_subset_simulation(m, SsConfig(**DEFAULT, seed=10))
-        curve = sensitivity_subsim(bins, GLOBAL)
+        bins, ccdf = run_subset_simulation(m, SsConfig(**DEFAULT, seed=10))
+        curve = sensitivity_subsim(bins, GLOBAL, ccdf.y)
         sigma = two_pass_sigma(bins)
         assert curve.widths == tuple(scott_width(sigma, b.count) for b in bins.bins)
 
     def test_default_widths_use_bin_spread(self):
         m = NormalResponse()
-        bins, _ = run_subset_simulation(m, SsConfig(**DEFAULT, seed=10))
-        curve = sensitivity_subsim(bins)
+        bins, ccdf = run_subset_simulation(m, SsConfig(**DEFAULT, seed=10))
+        curve = sensitivity_subsim(bins, SCOTT, ccdf.y)
         expected = tuple(scott_width(float(np.std(b.y)), b.count) for b in bins.bins)
         assert curve.widths == expected
         # tail bins are much narrower than the whole-response spread implies
@@ -255,7 +265,7 @@ class TestNormalizeCurve:
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=3))
         bins.bins[0].g = np.zeros_like(bins.bins[0].g)
-        curve = sensitivity_subsim(bins, y_grid=ccdf.y)
+        curve = sensitivity_subsim(bins, SCOTT, ccdf.y)
         curve = normalize_curve(curve, ccdf, m.spec)
         for p in curve.params:
             assert np.array_equal(curve.column(p, "scaled"), np.zeros_like(curve.y))
@@ -264,7 +274,7 @@ class TestNormalizeCurve:
     def test_scaling_columns(self):
         m = NormalResponse(loc=2.0, scale=1.5, mix=0.5)
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
-        curve = normalize_curve(sensitivity_subsim(bins, y_grid=ccdf.y), ccdf, m.spec)
+        curve = normalize_curve(sensitivity_subsim(bins, SCOTT, ccdf.y), ccdf, m.spec)
         assert np.allclose(curve.column("loc", "scaled"), 2.0 * curve.raw[:, 0], rtol=1e-15)
         assert np.allclose(curve.column("scale", "fractional"), 1.5 * curve.raw[:, 1] / ccdf.f,
                            rtol=1e-15)
@@ -274,7 +284,7 @@ class TestNormalizeCurve:
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
         f = ccdf.f.copy()
         f[-1] = 0.0
-        curve = sensitivity_subsim(bins, y_grid=ccdf.y)
+        curve = sensitivity_subsim(bins, SCOTT, ccdf.y)
         curve = normalize_curve(curve, CcdfCurve(y=ccdf.y, f=f), m.spec)
         frac = np.stack([curve.column(p, "fractional") for p in curve.params], axis=1)
         assert np.all(np.isnan(frac[-1]))
@@ -287,7 +297,7 @@ class TestNormalizeCurve:
         bins, ccdf = run_subset_simulation(m, SsConfig(m=2, p0=0.1, n_per_level=200, seed=5))
         f = ccdf.f.copy()
         f[-3:] = 0.0  # NaN in the fractional measure
-        curve = normalize_curve(sensitivity_subsim(bins, y_grid=ccdf.y),
+        curve = normalize_curve(sensitivity_subsim(bins, SCOTT, ccdf.y),
                                 CcdfCurve(y=ccdf.y, f=f), m.spec)
         values = np.array([m.spec.value(p) for p in curve.params])
         scaled = curve.raw * values[None, :]
@@ -302,22 +312,21 @@ class TestNormalizeCurve:
     def test_unknown_measure_rejected(self):
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
-        curve = normalize_curve(sensitivity_subsim(bins, y_grid=ccdf.y), ccdf, m.spec)
+        curve = normalize_curve(sensitivity_subsim(bins, SCOTT, ccdf.y), ccdf, m.spec)
         with pytest.raises(ValueError, match="unknown measure 'ccdf'"):
             curve.column("loc", "ccdf")
 
     def test_grid_mismatch_rejected(self):
         m = NormalResponse()
         bins, ccdf = run_subset_simulation(m, SsConfig(m=1, p0=0.1, n_per_level=200, seed=4))
-        curve = sensitivity_subsim(bins, y_grid=ccdf.y[:-1])
+        curve = sensitivity_subsim(bins, SCOTT, ccdf.y[:-1])
         with pytest.raises(ValueError):
             normalize_curve(curve, ccdf, m.spec)
 
 
-def assert_matches_dense(bins, kernel=KernelSpec(), y_grid=None):
-    curve = sensitivity_subsim(bins, kernel, y_grid=y_grid)
-    grid = curve.y
-    expected = dense_reference(bins, curve.widths, grid)
+def assert_matches_dense(bins, kernel, y_grid):
+    curve = sensitivity_subsim(bins, kernel, y_grid)
+    expected = dense_reference(bins, curve.widths, y_grid)
     assert curve.raw.shape == expected.shape
     assert np.array_equal(curve.raw.view(np.uint64), expected.view(np.uint64))
     return curve
@@ -333,7 +342,7 @@ class TestDenseReference:
         for seed in (0, 1, 2):
             bins, ccdf = run_subset_simulation(m, SsConfig(m=3, p0=0.1, n_per_level=n,
                                                            seed=seed))
-            assert_matches_dense(bins, y_grid=ccdf.y)
+            assert_matches_dense(bins, SCOTT, ccdf.y)
 
     def test_grid_with_duplicates_longer_than_a_chunk(self):
         m = NormalResponse()
@@ -342,7 +351,7 @@ class TestDenseReference:
         grid = np.concatenate([ccdf.y, rng.choice(ccdf.y, 400), [ccdf.y[0]] * 5])
         rng.shuffle(grid)
         assert np.unique(grid).shape[0] > 1024 and grid.shape[0] > np.unique(grid).shape[0]
-        curve = assert_matches_dense(bins, y_grid=grid)
+        curve = assert_matches_dense(bins, SCOTT, grid)
         assert np.array_equal(curve.y, grid)
 
     def test_bins_of_unequal_counts(self):
@@ -352,8 +361,8 @@ class TestDenseReference:
             bins.append(Bin(y=rng.normal(loc, 0.3, count), g=rng.normal(size=(count, 2)),
                             probability=p))
         part = BinPartition(thresholds=np.array([1.5, 2.5]), bins=bins, param_names=("a", "b"))
-        assert_matches_dense(part)
-        assert_matches_dense(part, y_grid=np.linspace(-2.0, 5.0, 50))
+        assert_matches_dense(part, SCOTT, np.sort(np.concatenate([b.y for b in bins])))
+        assert_matches_dense(part, SCOTT, np.linspace(-2.0, 5.0, 50))
 
     def test_narrow_fixed_width_underflow_and_subnormal_pairs(self):
         m = NormalResponse()
@@ -388,7 +397,7 @@ def test_kernel_fill_has_no_subnormal_entries(width):
         for lo in range(0, rows.shape[0], 500):
             c = rows[lo : lo + 500]
             out = np.full((c.shape[0], b.count), np.nan)
-            _fill_pdf(out, b.y, c, w, np.empty(out.size), np.empty(out.size, dtype=bool))
+            _fill_pdf(out, b.y, c, w, np.empty(out.size, dtype=bool))
             exact = std_normal_pdf((b.y[None, :] - c[:, None]) / w)
             assert np.all(out[out != 0.0] >= tiny)
             flushed = exact < tiny
