@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import run_benchmark
 from .model import ConfigError, ModelDomainError, ResponseModel
-from .numkit import NumericalError
+from .numkit import NumericalError, _as_seed
 from .responses import MODEL_BUILDERS, build_model
 from .sensest import (DegenerateResponseError, KernelSpec, SensitivityCurve, normalize_curve,
                       sensitivity_subsim)
@@ -92,9 +93,7 @@ def _write_outputs(outdir: Path, command, model, params, files, **fields):
 
 @dataclass
 class Run:
-    """One seeded run: its bins, and its normalized sensitivity curve, whose
-    ``ccdf`` column is the run's CCDF on ``curve.y``.  In ``repeat_runs`` the
-    curve is on the unique thresholds and NaN at the rows not yet evaluated."""
+    """A ``single_run``: its bins, and its normalized sensitivity curve at every sample value."""
 
     bins: BinPartition
     curve: SensitivityCurve
@@ -107,8 +106,7 @@ def single_run(model: ResponseModel, config: SsConfig, kernel: KernelSpec) -> Ru
 
 
 def _estimate(model, kernel, bins, ccdf, rows=None) -> SensitivityCurve:
-    """A run's normalized sensitivity curve at the thresholds ``ccdf.y``, or at
-    its ``rows`` only (NaN elsewhere)."""
+    """A run's normalized curve on ``ccdf.y``, or at its ``rows`` only (NaN elsewhere)."""
     curve = sensitivity_subsim(bins, kernel, y_grid=ccdf.y, rows=rows)
     return normalize_curve(curve, ccdf, model.spec)
 
@@ -173,54 +171,45 @@ def _knots(xp, x) -> np.ndarray:
     return np.unique(np.concatenate([j, np.minimum(j + 1, xp.shape[0] - 1)]))
 
 
+_MEASURES = ("raw", "scaled", "fractional")  # what a RepeatResult keeps per parameter
+_interp = partial(np.interp, left=np.nan, right=np.nan)  # (x, xp, fp), NaN off [xp[0], xp[-1]]
+
+
 @dataclass
 class RepeatResult:
-    """Aggregated curves over independent seeded runs.
-
-    CCDF interpolation is linear in (y, log F); sensitivity measures are
-    linear in y.  Grid points outside a run's sample range are NaN for that
-    run and excluded from the statistics.
-    """
+    """Seeded runs, each kept as its rows on ``grid``: run k's log F in row k of ``log_ccdf``
+    and its measure ``which`` in row k of ``measures[param, which]``.  A read at ``y``
+    interpolates them, linearly in (y, log F) and in y, exact at a grid point; a point
+    outside a run's sample range is NaN for that run and left out of the statistics."""
 
     grid: np.ndarray
-    runs: list  # a Run per seed
     seeds: tuple
-    kernel: KernelSpec
-
-    def run_curve(self, k: int, x) -> SensitivityCurve:
-        """Run ``k``'s curve, with every row that an interpolation at ``x`` reads evaluated."""
-        run = self.runs[k]
-        c = run.curve
-        rows = _knots(c.y, x)
-        rows = rows[np.isnan(c.raw[rows, 0])]  # a NaN row is evaluated (again) when read
-        if rows.size:  # normalize_curve leaves raw as it is, so it needs no second call
-            c.raw[rows] = sensitivity_subsim(run.bins, self.kernel, c.y, rows).raw[rows]
-        return c
+    log_ccdf: np.ndarray
+    measures: dict
 
     def ccdf_runs(self, y) -> np.ndarray:
-        return np.stack([np.exp(np.interp(y, r.curve.y, np.log(r.curve.ccdf), left=np.nan,
-                                          right=np.nan)) for r in self.runs])
+        return np.exp(np.stack([_interp(y, self.grid, row) for row in self.log_ccdf]))
 
     def mean_measure(self, param, y, which="fractional"):
-        curves = [self.run_curve(k, y) for k in range(len(self.runs))]
-        return _mean_std(np.stack([np.interp(y, c.y, c.column(param, which), left=np.nan,
-                                             right=np.nan) for c in curves]))
+        if (param, which) not in self.measures:
+            bad = f"parameter {param!r}" if which in _MEASURES else f"measure {which!r}"
+            raise ValueError(f"unknown {bad}")
+        return _mean_std(np.stack([_interp(y, self.grid, row)
+                                   for row in self.measures[param, which]]))
 
 
 def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seeds,
                 grid_points: int = 200) -> RepeatResult:
-    """One run per seed (at least 2, distinct), aggregated onto a fixed threshold grid.
+    """One run per seed (at least 2, distinct integers), aggregated onto a fixed threshold grid.
 
     The seeds run in lockstep groups of ``max(1, _GROUP_ROWS // n_chains)`` on the
-    calling thread; each finished run's kernel estimate, at the thresholds that
-    interpolation onto the grid reads, goes to a pool of ``thread_count()``
-    workers that share the model read-only; ``RepeatResult.run_curve``
-    evaluates any other threshold when it is first read.  Results are reduced
-    in seed order, so the output is invariant to the worker count and the
-    grouping.  The grid is placed at quantiles of the first run's pooled
-    sample values.
+    calling thread.  A pool of ``thread_count()`` workers sharing the model read-only
+    evaluates each finished run's kernel at the thresholds that interpolation onto
+    the grid reads, and keeps only the run's rows on the grid.  Results are reduced
+    in seed order, so the output is invariant to the worker count and the grouping.
+    The grid is placed at quantiles of the first run's pooled sample values.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(map(_as_seed, seeds))
     if len(seeds) < 2:
         raise ConfigError("need at least 2 runs")
     if len(set(seeds)) != len(seeds):
@@ -231,8 +220,9 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
 
     def finish(bins, ccdf):
         y, first = np.unique(ccdf.y, return_index=True)
-        return Run(bins, _estimate(model, kernel, bins, CcdfCurve(y, ccdf.f[first]),
-                                   _knots(y, grid)))
+        curve = _estimate(model, kernel, bins, CcdfCurve(y, ccdf.f[first]), _knots(y, grid))
+        return _interp(grid, y, np.log(curve.ccdf)), {(p, w): _interp(grid, y, curve.column(p, w))
+                                                      for p in curve.params for w in _MEASURES}
 
     pending = []
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
@@ -246,8 +236,9 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
             if i == 0:
                 grid = np.unique(np.quantile(group[0][1].y, np.linspace(0.0, 1.0, grid_points)))
             pending += [pool.submit(finish, bins, ccdf) for bins, ccdf in group]
-        runs = [run.result() for run in pending]
-    return RepeatResult(grid=grid, runs=runs, seeds=seeds, kernel=kernel)
+        log_ccdf, measures = zip(*(run.result() for run in pending))
+    return RepeatResult(grid=grid, seeds=seeds, log_ccdf=np.stack(log_ccdf),
+                        measures={key: np.stack([m[key] for m in measures]) for key in measures[0]})
 
 
 def thread_count() -> int:
@@ -272,9 +263,8 @@ def _write_repeat_outputs(outdir: Path, model, config, kernel, agg: RepeatResult
         [g, fm, fs, fm - fs, fm + fs])}
     for p in params:
         pu = _unit_inv(model.param_unit(p))
-        frac_m, frac_s = agg.mean_measure(p, g, "fractional")
-        sc_m, sc_s = agg.mean_measure(p, g, "scaled")
-        raw_m, raw_s = agg.mean_measure(p, g, "raw")
+        (frac_m, frac_s), (sc_m, sc_s), (raw_m, raw_s) = (
+            agg.mean_measure(p, g, which) for which in ("fractional", "scaled", "raw"))
         files[f"repeat_sensitivity_{p}.csv"] = (
             [f"y[{yu}]", "ccdf_mean[-]",
              f"frac_d{p}_mean[-]", f"frac_d{p}_std[-]", f"frac_d{p}_lo[-]", f"frac_d{p}_hi[-]",

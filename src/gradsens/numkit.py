@@ -11,6 +11,7 @@ stacked inputs (..., n, n) and broadcast over the leading axes.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -53,6 +54,13 @@ class _PhiloxKey(ISeedSequence):
         return np.array([self.seed, self.stream], dtype=np.uint64)  # Philox's 2-word key
 
 
+def _as_seed(value) -> int:
+    """``value`` as a seed: an integer in [0, 2**64), never a float truncated or a string parsed."""
+    if not (hasattr(type(value), "__index__") and 0 <= operator.index(value) < 2**64):
+        raise ConfigError(f"seed {value!r} must be an integer in [0, 2**64)")
+    return operator.index(value)
+
+
 class RngStream:
     """Counter-based random stream: Philox4x64-10 via numpy's Generator.
 
@@ -69,11 +77,9 @@ class RngStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int, stream: int = 0):
-        if not 0 <= int(seed) < 2**64:
-            raise ConfigError(f"seed {seed} must lie in [0, 2**64)")
+        self.seed = _as_seed(seed)
         if not 0 <= int(stream) < 2**64:
             raise ValueError("stream id must fit in 64 bits")
-        self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, int(stream))))
 
     def split(self, stream: int) -> "RngStream":

@@ -57,6 +57,20 @@ def critical_story(model, x, load=None, k2=None):
     return model._terms(x, load, k2).argmax(axis=1)
 
 
+def bits(a):
+    """The float64 values of ``a`` as their uint64 bit patterns, so -0.0 and NaN compare exactly."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_rows(a, b):
+    """Two ``RepeatResult``s hold the same grid, seeds and rows, bit for bit."""
+    assert a.seeds == b.seeds and np.array_equal(bits(a.grid), bits(b.grid))
+    assert np.array_equal(bits(a.log_ccdf), bits(b.log_ccdf))
+    assert a.measures.keys() == b.measures.keys()
+    for key, rows in a.measures.items():
+        assert np.array_equal(bits(rows), bits(b.measures[key])), key
+
+
 def mean_ccdf(agg, y):
     """Mean over the runs of a ``RepeatResult`` of their CCDFs at ``y``."""
     return np.nanmean(agg.ccdf_runs(y), axis=0)

@@ -11,12 +11,12 @@ import pytest
 from gradsens import cli
 from gradsens.cli import (_write_csv, _write_outputs, main, read_csv, repeat_runs, single_run,
                           thread_count)
-from gradsens.model import ResponseModel
+from gradsens.model import ConfigError, ResponseModel
 from gradsens.responses import NormalResponse, PileResponse, build_model
-from gradsens.sensest import KernelSpec, normalize_curve
-from gradsens.subsim import CcdfCurve, SsConfig
+from gradsens.sensest import KernelSpec
+from gradsens.subsim import SsConfig
 
-from helpers import FaultyNormal, mean_ccdf, y_at_mean_ccdf
+from helpers import FaultyNormal, assert_same_rows, bits, mean_ccdf, y_at_mean_ccdf
 
 
 def manifest_without_walltime(path):
@@ -537,8 +537,7 @@ class TestRepeatApi:
         p = model.spec.sensitivity_params[0]
         for which in ("raw", "scaled", "fractional"):
             mean, std = agg.mean_measure(p, agg.grid, which)
-            vals = np.stack([np.interp(agg.grid, r.curve.y, r.curve.column(p, which),
-                                       left=np.nan, right=np.nan) for r in agg.runs])
+            vals = agg.measures[p, which]
             both = np.isfinite(vals).all(axis=0)
             assert np.abs(vals[:, both]).max() > 1e200
             assert np.isfinite(std[both]).all()
@@ -547,7 +546,7 @@ class TestRepeatApi:
             want = np.abs(half[0] - half[1]) * math.sqrt(2.0)
             assert np.allclose(std[both], want, rtol=1e-14, atol=0.0)
 
-    def test_rows_are_evaluated_once_when_first_read(self, monkeypatch):
+    def test_kernel_is_evaluated_once_per_run(self, monkeypatch):
         calls = []
         kernel_at = cli.sensitivity_subsim
 
@@ -556,25 +555,68 @@ class TestRepeatApi:
             return kernel_at(bins, kernel, y_grid, rows)
 
         monkeypatch.setattr(cli, "sensitivity_subsim", spy)
-        m, kernel = NormalResponse(), KernelSpec()
         cfg = SsConfig(m=2, p0=0.1, n_per_level=300, seed=90)
-        agg = repeat_runs(m, cfg, kernel, (90, 91), grid_points=16)
+        agg = repeat_runs(NormalResponse(), cfg, KernelSpec(), (90, 91), grid_points=16)
         assert len(calls) == 2 and all(0 < n <= 32 for n in calls)
-        agg.mean_measure("loc", agg.grid, "raw")
-        assert len(calls) == 2  # the pool evaluated every row the grid reads
-        assert np.isnan(agg.runs[0].curve.raw).any()  # rows not yet read
+        off = np.linspace(agg.grid[0] - 1.0, agg.grid[-1] + 1.0, 37)
+        for y in (agg.grid, off):
+            agg.ccdf_runs(y)
+            for p in ("loc", "scale"):
+                for which in ("raw", "scaled", "fractional"):
+                    agg.mean_measure(p, y, which)
+        assert len(calls) == 2  # no read, on the grid or off it, evaluates the kernel again
+
+    def test_reads_interpolate_the_grid_rows(self):
+        m = NormalResponse()
+        agg = repeat_runs(m, SsConfig(m=2, p0=0.1, n_per_level=200), KernelSpec(), (1, 2, 3),
+                          grid_points=32)
+        # later runs' ranges miss grid points, so some finite cells have NaN neighbours
+        nan = np.isnan(agg.log_ccdf)
+        assert (~nan[:, 1:] & nan[:, :-1]).any() or (~nan[:, :-1] & nan[:, 1:]).any()
         y = np.linspace(agg.grid[0] - 1.0, agg.grid[-1] + 1.0, 37)  # off the grid
-        got = [agg.mean_measure(p, y, which) for p in ("loc", "scale")
-               for which in ("raw", "scaled", "fractional")]
-        assert len(calls) == 4  # one more evaluation per run, of the missing rows
-        full = [normalize_curve(kernel_at(r.bins, kernel, r.curve.y),
-                                CcdfCurve(r.curve.y, r.curve.ccdf), m.spec) for r in agg.runs]
-        want = [cli._mean_std(np.stack([np.interp(y, c.y, c.column(p, which), left=np.nan,
-                                                  right=np.nan) for c in full]))
-                for p in ("loc", "scale") for which in ("raw", "scaled", "fractional")]
-        for g, w in zip(got, want):
-            for a, b in zip(g, w):
-                assert np.array_equal(a, b, equal_nan=True)
+
+        def read(rows):  # each run's row interpolated at y
+            return np.stack([np.interp(y, agg.grid, r, left=np.nan, right=np.nan) for r in rows])
+
+        assert np.array_equal(bits(agg.ccdf_runs(agg.grid)), bits(np.exp(agg.log_ccdf)))
+        assert np.array_equal(bits(agg.ccdf_runs(y)), bits(np.exp(read(agg.log_ccdf))))
+        for p in m.spec.sensitivity_params:
+            for which in ("raw", "scaled", "fractional"):
+                rows = agg.measures[p, which]
+                for at, want in ((y, cli._mean_std(read(rows))), (agg.grid, cli._mean_std(rows))):
+                    for got, ref in zip(agg.mean_measure(p, at, which), want):
+                        assert np.array_equal(bits(got), bits(ref))
+
+    def test_grid_points_read_the_stored_cells_beside_nan(self):
+        grid = np.arange(5.0)
+        row = np.array([np.nan, -3.0, 5.0, np.nan, 7.0])  # finite cells beside NaN ones
+        agg = cli.RepeatResult(grid=grid, seeds=(1, 2), log_ccdf=np.stack([row, row]),
+                               measures={("a", "raw"): np.stack([row, row])})
+        assert np.array_equal(bits(agg.ccdf_runs(grid)), bits(np.exp([row, row])))
+        assert np.array_equal(bits(agg.mean_measure("a", grid, "raw")[0]), bits(row))
+
+    @pytest.mark.parametrize("param, which, match", [
+        ("loc", "bogus", "unknown measure 'bogus'"),
+        ("bogus", "raw", "unknown parameter 'bogus'"),
+    ])
+    def test_unknown_reads_are_value_errors(self, param, which, match):
+        agg = repeat_runs(NormalResponse(), SsConfig(m=2, p0=0.1, n_per_level=100),
+                          KernelSpec(), (1, 2), grid_points=8)
+        with pytest.raises(ValueError, match=match):
+            agg.mean_measure(param, agg.grid, which)
+
+    @pytest.mark.parametrize("seeds", [(1.5, 2.5), (1, 2.0), ("1", "2"), "12", (1, -2)])
+    def test_seeds_must_be_integers(self, seeds):
+        cfg = SsConfig(m=2, p0=0.1, n_per_level=100)
+        with pytest.raises(ConfigError, match="seed .* must be an integer"):
+            repeat_runs(NormalResponse(), cfg, KernelSpec(), seeds)
+
+    def test_integer_seeds_of_any_integer_type(self):
+        cfg = SsConfig(m=2, p0=0.1, n_per_level=100)
+        agg = repeat_runs(NormalResponse(), cfg, KernelSpec(), np.arange(3, 5), grid_points=8)
+        assert agg.seeds == (3, 4) and all(type(s) is int for s in agg.seeds)
+        assert_same_rows(agg, repeat_runs(NormalResponse(), cfg, KernelSpec(), (3, 4),
+                                          grid_points=8))
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_short_grid_rejected(self, points):
@@ -588,13 +630,7 @@ class TestRepeatApi:
         monkeypatch.setenv("GRADSENS_THREADS", "1")
         a = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
         monkeypatch.setenv("GRADSENS_THREADS", "4")
-        b = repeat_runs(m, cfg, KernelSpec(), range(60, 66))
-        for k in range(len(a.runs)):
-            ca = a.run_curve(k, a.runs[k].curve.y)  # every unique threshold
-            cb = b.run_curve(k, b.runs[k].curve.y)
-            assert np.array_equal(ca.y, cb.y)
-            for p in ca.params:
-                assert np.array_equal(ca.column(p, "fractional"), cb.column(p, "fractional"))
+        assert_same_rows(a, repeat_runs(m, cfg, KernelSpec(), range(60, 66)))
 
     def test_pile_non_eager_gradient_policy_in_engine(self):
         # deferred-gradient models run through the same engine surface
@@ -610,9 +646,4 @@ class TestRepeatApi:
         monkeypatch.setenv("GRADSENS_THREADS", "1")
         a = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
         monkeypatch.setenv("GRADSENS_THREADS", "3")
-        b = repeat_runs(m, cfg, KernelSpec(), range(70, 74))
-        for k in range(len(a.runs)):
-            ca = a.run_curve(k, a.runs[k].curve.y)
-            cb = b.run_curve(k, b.runs[k].curve.y)
-            for p in ca.params:
-                assert np.array_equal(ca.column(p, "fractional"), cb.column(p, "fractional"))
+        assert_same_rows(a, repeat_runs(m, cfg, KernelSpec(), range(70, 74)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
+from gradsens.model import ConfigError
 from gradsens.numkit import (NotPositiveDefiniteError, RepeatedEigenvalueError, RngStream,
                              cholesky_lower, eigen_derivative, smallest_gen_eigenpair,
                              std_normal_ccdf, std_normal_ccdf_inv)
@@ -89,6 +91,17 @@ class TestRngStream:
         for seed, stream in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
             with pytest.raises(ValueError):
                 RngStream(seed, stream)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float was truncated to the seed below it, and drew that seed's stream
+        with pytest.raises(ConfigError, match=f"seed {re.escape(repr(seed))} must be an integer"):
+            RngStream(seed)
+
+    def test_any_integer_type_keys_the_same_stream(self):
+        want = RngStream(7).standard_normal(4)
+        for seed in (np.int64(7), np.uint64(7), np.int32(7)):
+            assert np.array_equal(RngStream(seed).standard_normal(4), want)
 
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("stream", [1, 2 + (3 << 32) + 17])  # a chain's id at level 3

@@ -20,7 +20,7 @@ from gradsens.sensest import (_GRID_CHUNK, DegenerateResponseError, KernelSpec,
 from gradsens.subsim import (Bin, BinPartition, SsConfig, _keep_top, run_lockstep,
                              run_subset_simulation)
 
-from helpers import dense_reference
+from helpers import bits, dense_reference
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODEL = NormalResponse()
@@ -38,10 +38,6 @@ def configs(draw, min_chains=1):
 # at least 5 seeds, so every bin holds several distinct responses to smooth
 kernel_configs = configs(min_chains=5)
 coefficients = st.floats(-10.0, 10.0, allow_nan=False)
-
-
-def bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def with_gradients(bins, fn):

@@ -15,6 +15,8 @@ from gradsens.sensest import KernelSpec
 from gradsens.subsim import (SsConfig, ThresholdTieWarning, _advance_chains, correlation_param,
                              run_lockstep, run_subset_simulation)
 
+from helpers import bits
+
 DEFAULT = dict(m=3, p0=0.1, n_per_level=1000)
 
 
@@ -306,6 +308,11 @@ class TestRunSubsetSimulation:
             assert np.array_equal(x.y, y.y)
             assert np.array_equal(x.g, y.g)
 
+    def test_a_float_seed_is_rejected_not_truncated(self):
+        # SsConfig(seed=1.9) ran seed 1, bit for bit
+        with pytest.raises(ValueError, match="seed 1.9 must be an integer"):
+            run_subset_simulation(NormalResponse(), SsConfig(m=2, n_per_level=100, seed=1.9))
+
     def test_gradients_stored_for_all_records(self):
         m = NormalResponse()
         bins, _ = run_subset_simulation(m, SsConfig(**DEFAULT, seed=14))
@@ -361,10 +368,6 @@ class TestRunSubsetSimulation:
         _, c1 = run_subset_simulation(m, SsConfig(**DEFAULT, seed=1))
         _, c2 = run_subset_simulation(m, SsConfig(**DEFAULT, seed=2))
         assert not np.array_equal(c1.y, c2.y)
-
-
-def bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def assert_same_bits(run, solo):
@@ -438,12 +441,17 @@ class TestLockstep:
         agg = cli.repeat_runs(model, config, kernel, self.SEEDS)
         assert groups == [[5, 6], [7]]
         for k, seed in enumerate(self.SEEDS):
-            curve = agg.run_curve(k, agg.runs[k].curve.y)  # every unique threshold
             want = cli.single_run(model, dataclasses.replace(config, seed=seed), kernel).curve
             y, first = np.unique(want.y, return_index=True)
-            for got, ref in ((curve.y, y), (curve.raw, want.raw[first]),
-                             (curve.ccdf, want.ccdf[first])):
-                assert np.array_equal(bits(got), bits(ref))
+
+            def on_grid(column):  # the solo run's column interpolated from its unique thresholds
+                return np.interp(agg.grid, y, column[first], left=np.nan, right=np.nan)
+
+            assert np.array_equal(bits(agg.log_ccdf[k]), bits(on_grid(np.log(want.ccdf))))
+            for p in want.params:
+                for which in ("raw", "scaled", "fractional"):
+                    assert np.array_equal(bits(agg.measures[p, which][k]),
+                                          bits(on_grid(want.column(p, which))))
 
     def test_tie_warnings_as_often_as_solo_runs(self):
         model = StaircaseModel()
