@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ConfigError, ResponseModel, _check_finite, _response_sets, central_steps
-from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
+from .model import ResponseModel, _check_finite, _response_sets, central_steps
+from .numkit import RngStream, _as_int, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
 from .sensest import fractional_measure
 
@@ -85,11 +85,6 @@ def analytic_buckling(y_grid, load=100.0, k2=250.0, *, stiffness=250.0, height=3
                            provenance="analytic")
 
 
-def _check_samples(n_samples):
-    if n_samples < 11:
-        raise ConfigError(f"n_samples={n_samples}: needs at least 11")
-
-
 def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
                            rel_step=0.01, seed=0, grid_points=256) -> BenchmarkResult:
     """Central differences of direct-MC exceedance estimates on common inputs.
@@ -100,7 +95,8 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     placed at ``grid_points`` log-spaced exceedance quantiles of the base run,
     from 0.999 down to 10 / n_samples, so it needs at least 11 samples.
     """
-    _check_samples(n_samples)
+    n_samples = _as_int(n_samples, "n_samples", 11)
+    grid_points = _as_int(grid_points, "grid_points", 1)
     params = tuple(params or model.spec.sensitivity_params)
     steps = [central_steps(model.spec.value(name), rel_step) for name in params]
     n_dim = model.spec.input_dim
@@ -168,11 +164,11 @@ def _analytic_reference(model, grid_points):
 def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
                   grid_points=256) -> BenchmarkResult:
     """Analytic references when the model has them, CRN differences otherwise;
-    either way, the CRN's sample count and step rules apply."""
-    if grid_points < 2:
-        raise ConfigError(f"grid_points={grid_points}: needs at least 2")
-    _check_samples(n_samples)
+    either way, the CRN's sample count, step and seed rules apply."""
+    _as_int(grid_points, "grid_points", 2)
+    _as_int(n_samples, "n_samples", 11)
     central_steps(1.0, rel_step)
+    _as_int(seed, "seed")
     if model.spec.name in ("normal", "buckling"):
         return _analytic_reference(model, grid_points)
     return crn_central_difference(model, params=params, n_samples=n_samples,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import run_benchmark
 from .model import ConfigError, ModelDomainError, ResponseModel
-from .numkit import NumericalError, _as_seed
+from .numkit import NumericalError, _as_int
 from .responses import MODEL_BUILDERS, build_model
 from .sensest import (DegenerateResponseError, KernelSpec, SensitivityCurve, normalize_curve,
                       sensitivity_subsim)
@@ -209,13 +209,12 @@ def repeat_runs(model: ResponseModel, config: SsConfig, kernel: KernelSpec, seed
     in seed order, so the output is invariant to the worker count and the grouping.
     The grid is placed at quantiles of the first run's pooled sample values.
     """
-    seeds = tuple(map(_as_seed, seeds))
+    seeds = tuple(_as_int(seed, "seed") for seed in seeds)
     if len(seeds) < 2:
         raise ConfigError("need at least 2 runs")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("run seeds must be distinct")
-    if grid_points < 2:
-        raise ConfigError(f"grid_points={grid_points}: needs at least 2")
+    grid_points = _as_int(grid_points, "grid_points", 2)
     size = max(1, _GROUP_ROWS // config.n_chains)
 
     def finish(bins, ccdf):

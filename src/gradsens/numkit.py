@@ -54,10 +54,11 @@ class _PhiloxKey(ISeedSequence):
         return np.array([self.seed, self.stream], dtype=np.uint64)  # Philox's 2-word key
 
 
-def _as_seed(value) -> int:
-    """``value`` as a seed: an integer in [0, 2**64), never a float truncated or a string parsed."""
-    if not (hasattr(type(value), "__index__") and 0 <= operator.index(value) < 2**64):
-        raise ConfigError(f"seed {value!r} must be an integer in [0, 2**64)")
+def _as_int(value, name, least=0) -> int:
+    """``value`` as a count, seed or stream id: an integer in [least, 2**64), of any type
+    ``operator.index`` takes; never a float truncated or a string parsed."""
+    if not (hasattr(type(value), "__index__") and least <= operator.index(value) < 2**64):
+        raise ConfigError(f"{name}={value!r}: needs an integer in [{least}, 2**64)")
     return operator.index(value)
 
 
@@ -77,10 +78,8 @@ class RngStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = _as_seed(seed)
-        if not 0 <= int(stream) < 2**64:
-            raise ValueError("stream id must fit in 64 bits")
-        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, int(stream))))
+        self.seed, stream = _as_int(seed, "seed"), _as_int(stream, "stream")
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, stream)))
 
     def split(self, stream: int) -> "RngStream":
         """Independent child stream of the same seed."""

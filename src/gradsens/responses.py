@@ -90,9 +90,7 @@ class BucklingResponse(ResponseModel):
     """
 
     def __init__(self, stories=5, stiffness=250.0, height=3.5, load=100.0, load_cov=0.1, k2=None):
-        self.stories = int(stories)
-        if self.stories < 2:
-            raise ModelDomainError("needs at least 2 stories")
+        self.stories = numkit._as_int(stories, "stories", 2)
         self.height = float(height)
         self.load = float(load)
         self.load_cov = float(load_cov)

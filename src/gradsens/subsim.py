@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, ResponseModel, _check_finite
-from .numkit import RngStream, std_normal_ccdf_inv
+from .numkit import RngStream, _as_int, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
 _CHAIN_STREAM_BASE = 2
@@ -55,12 +55,12 @@ class SsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError("need at least one level")
+        for name, least in (("m", 1), ("n_per_level", 2), ("seed", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
         if not 0.0 < self.p0 < 1.0:
             raise ConfigError("p0 must lie in (0, 1)")
         nc = self.p0 * self.n_per_level
-        if self.n_per_level < 2 or abs(nc - self.n_chains) > 1e-9 or self.n_chains < 1:
+        if abs(nc - self.n_chains) > 1e-9 or self.n_chains < 1:
             raise ConfigError("p0 * n_per_level must be a positive integer")
         if self.n_per_level % self.n_chains:
             raise ConfigError("n_per_level must be a multiple of the seed count p0 * n_per_level")

@@ -354,6 +354,15 @@ class TestCmdBenchmark:
         assert rc == 2
         assert "configuration error: n_samples=0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["normal", "buckling", "sdof"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, model):
+        # normal and buckling exited 0: their analytic references read no seed
+        rc = main(["benchmark", "--model", model, "--samples", "200", "--seed", "-1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: seed=-1: needs an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model", ["normal", "sdof"])
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_short_grid_exit_2(self, tmp_path, capsys, model, points):
@@ -608,7 +617,7 @@ class TestRepeatApi:
     @pytest.mark.parametrize("seeds", [(1.5, 2.5), (1, 2.0), ("1", "2"), "12", (1, -2)])
     def test_seeds_must_be_integers(self, seeds):
         cfg = SsConfig(m=2, p0=0.1, n_per_level=100)
-        with pytest.raises(ConfigError, match="seed .* must be an integer"):
+        with pytest.raises(ConfigError, match=r"seed=.*: needs an integer in \[0, 2\*\*64\)"):
             repeat_runs(NormalResponse(), cfg, KernelSpec(), seeds)
 
     def test_integer_seeds_of_any_integer_type(self):

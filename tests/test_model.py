@@ -8,11 +8,11 @@ from gradsens.cli import _select_params, repeat_runs
 from gradsens.model import (ConfigError, ModelDomainError, ModelSpec, ResponseModel,
                             _check_finite, central_steps, fd_gradient_batch)
 from gradsens.numkit import RngStream
-from gradsens.responses import MODEL_BUILDERS, NormalResponse, build_model
+from gradsens.responses import MODEL_BUILDERS, BucklingResponse, NormalResponse, build_model
 from gradsens.sensest import KernelSpec, scott_width
 from gradsens.subsim import SsConfig, run_subset_simulation
 
-from helpers import FaultyNormal
+from helpers import FaultyNormal, assert_same_rows, bits
 
 
 class QuadraticModel(ResponseModel):
@@ -137,12 +137,87 @@ def test_sample_record_rejects_nonfinite():
     lambda: build_model("nope"),
     lambda: NormalResponse().spec.value("bogus"),
     lambda: crn_central_difference(NormalResponse(), params=("bogus",), n_samples=11),
+    # counts that are not integers: a TypeError deep in numpy, or truncated
+    lambda: SsConfig(m=2.5),
+    lambda: SsConfig(m=3.0),
+    lambda: SsConfig(n_per_level=1000.0),
+    lambda: repeat_runs(NormalResponse(), SsConfig(), KernelSpec(), (1, 2), grid_points=50.0),
+    lambda: crn_central_difference(NormalResponse(), n_samples=1e4),
+    lambda: RngStream(1, 1.5),
+    lambda: BucklingResponse(stories=3.7),
+    # an empty reference, numpy's ValueError, and a seed only the CRN path checked
+    lambda: crn_central_difference(NormalResponse(), n_samples=11, grid_points=0),
+    lambda: crn_central_difference(NormalResponse(), n_samples=11, grid_points=-1),
+    lambda: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, seed=-1),
 ], ids=["levels", "p0", "p0-to-the-m", "width-rule", "width-number", "width-zero", "scott-width",
         "fd-step", "seed", "one-sample-bin", "crn-samples", "grid-points", "one-run", "param",
-        "model-name", "spec-value", "crn-param"])
+        "model-name", "spec-value", "crn-param", "levels-float", "levels-integral-float",
+        "n-per-level-float", "repeat-grid-float", "crn-samples-float", "stream-float",
+        "stories-float", "crn-grid-zero", "crn-grid-negative", "analytic-seed"])
 def test_argument_checks_raise_config_error(check):
     with pytest.raises(ConfigError):
         check()
+
+
+# every place a count, seed or stream id enters: (call with the value, its name, least value)
+COUNTS = {
+    "stream-seed": (lambda v: RngStream(v), "seed", 0),
+    "stream-id": (lambda v: RngStream(1, v), "stream", 0),
+    "levels": (lambda v: SsConfig(m=v), "m", 1),
+    "n-per-level": (lambda v: SsConfig(n_per_level=v), "n_per_level", 2),
+    "config-seed": (lambda v: SsConfig(seed=v), "seed", 0),
+    "repeat-seed": (lambda v: repeat_runs(NormalResponse(), SsConfig(), KernelSpec(), (v, 7)),
+                    "seed", 0),
+    "repeat-grid": (lambda v: repeat_runs(NormalResponse(), SsConfig(), KernelSpec(), (1, 2),
+                                          grid_points=v), "grid_points", 2),
+    "crn-samples": (lambda v: crn_central_difference(NormalResponse(), n_samples=v),
+                    "n_samples", 11),
+    "crn-grid": (lambda v: crn_central_difference(NormalResponse(), n_samples=11, grid_points=v),
+                 "grid_points", 1),
+    "crn-seed": (lambda v: crn_central_difference(NormalResponse(), n_samples=11, seed=v),
+                 "seed", 0),
+    "benchmark-samples": (lambda v: run_benchmark(NormalResponse(), ("loc",), v, 0.01, 0),
+                          "n_samples", 11),
+    "benchmark-grid": (lambda v: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, 0,
+                                               grid_points=v), "grid_points", 2),
+    "benchmark-seed": (lambda v: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, v),
+                       "seed", 0),
+    "stories": (lambda v: BucklingResponse(stories=v), "stories", 2),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", "below"])
+def test_counts_are_integers_checked_where_they_enter(entry, bad):
+    call, name, least = COUNTS[entry]
+    value = least - 1 if bad == "below" else bad
+    with pytest.raises(ConfigError, match=re.escape(f"{name}={value!r}: needs an integer in "
+                                                    f"[{least}, 2**64)")):
+        call(value)
+
+
+def test_numpy_integers_give_the_python_ints_bits():
+    i = np.int64
+    assert np.array_equal(bits(RngStream(i(7), i(3)).standard_normal(8)),
+                          bits(RngStream(7, 3).standard_normal(8)))
+    config = SsConfig(m=i(2), n_per_level=i(100), seed=i(4))
+    assert config == SsConfig(m=2, n_per_level=100, seed=4)
+    assert all(type(v) is int for v in (config.m, config.n_per_level, config.seed))
+    assert_same_rows(repeat_runs(NormalResponse(), config, KernelSpec(), i([3, 4]),
+                                 grid_points=i(8)),
+                     repeat_runs(NormalResponse(), config, KernelSpec(), (3, 4), grid_points=8))
+    for run in (crn_central_difference, lambda model, **kw: run_benchmark(model, None, **kw)):
+        got, want = (run(NormalResponse(), n_samples=n, grid_points=g, seed=s, rel_step=0.01)
+                     for n, g, s in ((i(300), i(16), i(2)), (300, 16, 2)))
+        for field in ("y", "f", "df"):
+            assert np.array_equal(bits(getattr(got, field)), bits(getattr(want, field)))
+    got = crn_central_difference(NormalResponse(), n_samples=i(300))
+    assert type(got.n_samples) is int
+    got, want = BucklingResponse(stories=i(3)), BucklingResponse(stories=3)
+    assert type(got.stories) is int
+    x = RngStream(6).standard_normal((50, 3))
+    for a, b in zip(got.evaluate_batch(x), want.evaluate_batch(x)):
+        assert np.array_equal(bits(a), bits(b))
 
 
 class SpyNormal(NormalResponse):

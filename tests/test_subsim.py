@@ -310,7 +310,7 @@ class TestRunSubsetSimulation:
 
     def test_a_float_seed_is_rejected_not_truncated(self):
         # SsConfig(seed=1.9) ran seed 1, bit for bit
-        with pytest.raises(ValueError, match="seed 1.9 must be an integer"):
+        with pytest.raises(ValueError, match="seed=1.9: needs an integer"):
             run_subset_simulation(NormalResponse(), SsConfig(m=2, n_per_level=100, seed=1.9))
 
     def test_gradients_stored_for_all_records(self):
