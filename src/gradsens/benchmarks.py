@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ResponseModel, _check_finite, _response_sets, central_steps
-from .numkit import RngStream, _as_int, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
+from .model import ResponseModel, _as_int, _as_real, _check_finite, _response_sets, central_steps
+from .numkit import RngStream, std_normal_ccdf, std_normal_ccdf_inv, std_normal_pdf
 from .responses import lognormal_shift
 from .sensest import fractional_measure
 
@@ -46,6 +46,7 @@ def analytic_normal(y_grid, loc=1.0, scale=1.0, mix=0.5) -> BenchmarkResult:
     dF/dscale = z pdf(z)/scale, and the mix parameter has exactly zero
     sensitivity despite its nonzero response gradient.
     """
+    loc, scale, mix = _as_real(loc, "loc"), _as_real(scale, "scale", 0.0), _as_real(mix, "mix")
     if not scale * scale > mix * mix:
         raise ValueError("requires scale > |mix| >= 0")
     y = np.asarray(y_grid, dtype=float)
@@ -70,6 +71,9 @@ def analytic_buckling(y_grid, load=100.0, k2=250.0, *, stiffness=250.0, height=3
     margins of the nominal and second story; sensitivities follow from the
     log-derivative of the product.
     """
+    stories = _as_int(stories, "stories", 2)
+    reals = dict(load=load, k2=k2, stiffness=stiffness, height=height, load_cov=load_cov, lam0=lam0)
+    load, k2, stiffness, height, load_cov, lam0 = (_as_real(v, n, 0.0) for n, v in reals.items())
     y = np.asarray(y_grid, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("thresholds must be positive")

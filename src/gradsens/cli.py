@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import run_benchmark
-from .model import ConfigError, ModelDomainError, ResponseModel
-from .numkit import NumericalError, _as_int
+from .model import ConfigError, ModelDomainError, ResponseModel, _as_int
+from .numkit import NumericalError
 from .responses import MODEL_BUILDERS, build_model
 from .sensest import (DegenerateResponseError, KernelSpec, SensitivityCurve, normalize_curve,
                       sensitivity_subsim)
@@ -244,9 +244,9 @@ def thread_count() -> int:
     """``GRADSENS_THREADS`` if set, else the number of CPUs this process may run on."""
     env = os.environ.get("GRADSENS_THREADS")
     if env:
-        if not (env.strip().isdecimal() and int(env) > 0):
+        if not env.strip().isdecimal():
             raise ConfigError(f"GRADSENS_THREADS must be a positive integer, got {env!r}")
-        return int(env)
+        return _as_int(int(env), "GRADSENS_THREADS", 1)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
@@ -377,7 +377,7 @@ def cmd_run(args, model, params) -> int:
 def cmd_repeat(args, model, params) -> int:
     config, kernel = _ss_inputs(args)
     try:
-        seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
+        seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds is not None
                  else range(args.seed, args.seed + args.runs))
     except ValueError:
         raise ConfigError(f"--seeds {args.seeds!r}: needs comma-separated integers") from None

@@ -9,11 +9,14 @@ or Fortran order.  ``spec.input_order`` names the order a model reads fastest,
 and the CRN reference builds its blocks in it; it is a speed hint only, so a
 model's outputs must not depend on the layout of its input.  The CRN reference
 refills one buffer for every block, so a model must not keep a reference to
-its input block after a call returns.
+its input block after a call returns.  The module owns both rules for a number the
+caller chose, ``_as_int`` (counts, seeds, stream ids) and ``_as_real`` (reals).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,23 @@ class ModelDomainError(RuntimeError):
 
 class ConfigError(ValueError):
     """An argument the caller chose is invalid: the command line exits 2 on it."""
+
+
+def _as_int(value, name, least=0) -> int:
+    """``value`` as a Python int in [least, 2**64): any ``numbers.Integral`` but bool;
+    never a float truncated or a string parsed."""
+    if type(value) is bool or not (isinstance(value, numbers.Integral)
+                                   and least <= int(value) < 2**64):
+        raise ConfigError(f"{name}={value!r}: needs an integer in [{least}, 2**64)")
+    return int(value)
+
+
+def _as_real(value, name, lo=-math.inf, hi=math.inf) -> float:
+    """``value`` as a Python float in the open range (lo, hi), so never NaN or infinite:
+    any ``numbers.Real`` but bool; never a string parsed."""
+    if type(value) is bool or not (isinstance(value, numbers.Real) and lo < value < hi):
+        raise ConfigError(f"{name}={value!r}: needs a finite real in ({lo}, {hi})")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -53,8 +73,7 @@ class ModelSpec:
         unknown = set(self.sensitivity_params) - set(names)
         if unknown:
             raise ValueError(f"unknown sensitivity parameters: {sorted(unknown)}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+        object.__setattr__(self, "input_dim", _as_int(self.input_dim, "input_dim", 1))
         if self.input_order not in ("C", "F"):
             raise ValueError(f"input_order must be 'C' or 'F', not {self.input_order!r}")
         if not isinstance(self.rows_independent, bool):
@@ -138,8 +157,7 @@ def central_steps(value: float, rel_step: float):
     both values on the side of zero that a is on.  A parameter whose nominal
     value is exactly zero falls back to the absolute step h * 1.0.
     """
-    if not 0.0 < rel_step < 1.0:
-        raise ConfigError(f"rel_step={rel_step}: needs 0 < rel_step < 1")
+    rel_step = _as_real(rel_step, "rel_step", 0.0, 1.0)
     if value != 0.0:
         return value * (1.0 + rel_step), value * (1.0 - rel_step), 2.0 * value * rel_step
     return rel_step, -rel_step, 2.0 * rel_step

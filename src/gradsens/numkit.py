@@ -11,13 +11,12 @@ stacked inputs (..., n, n) and broadcast over the leading axes.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
-from .model import ConfigError
+from .model import _as_int
 
 
 class NumericalError(ValueError):
@@ -52,14 +51,6 @@ class _PhiloxKey(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint64):
         return np.array([self.seed, self.stream], dtype=np.uint64)  # Philox's 2-word key
-
-
-def _as_int(value, name, least=0) -> int:
-    """``value`` as a count, seed or stream id: an integer in [least, 2**64), of any type
-    ``operator.index`` takes; never a float truncated or a string parsed."""
-    if not (hasattr(type(value), "__index__") and least <= operator.index(value) < 2**64):
-        raise ConfigError(f"{name}={value!r}: needs an integer in [{least}, 2**64)")
-    return operator.index(value)
 
 
 class RngStream:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy import linalg as sla
 
-from .model import ConfigError, ModelDomainError, ModelSpec, ResponseModel
+from .model import ConfigError, ModelDomainError, ModelSpec, ResponseModel, _as_int, _as_real
 from . import numkit
 
 _KICK_TILE = 64  # sdof steps whose scaled inputs are held at once (2 MB at 4096 rows)
@@ -30,8 +30,9 @@ class NormalResponse(ResponseModel):
     """
 
     def __init__(self, loc=1.0, scale=1.0, mix=0.5):
-        self._coeff(scale, mix)
-        self.loc, self.scale, self.mix = float(loc), float(scale), float(mix)
+        self.loc, self.mix = _as_real(loc, "loc"), _as_real(mix, "mix")
+        self.scale = _as_real(scale, "scale", 0.0)
+        self._coeff(self.scale, self.mix)
         self.spec = ModelSpec(
             name="normal",
             input_dim=2,
@@ -90,12 +91,12 @@ class BucklingResponse(ResponseModel):
     """
 
     def __init__(self, stories=5, stiffness=250.0, height=3.5, load=100.0, load_cov=0.1, k2=None):
-        self.stories = numkit._as_int(stories, "stories", 2)
-        self.height = float(height)
-        self.load = float(load)
-        self.load_cov = float(load_cov)
-        self.k2 = float(stiffness if k2 is None else k2)
-        self.k = np.full(self.stories, float(stiffness))
+        self.stories = _as_int(stories, "stories", 2)
+        stiffness = _as_real(stiffness, "stiffness", 0.0)
+        self.height, self.load = _as_real(height, "height", 0.0), _as_real(load, "load", 0.0)
+        self.load_cov = _as_real(load_cov, "load_cov", 0.0)
+        self.k2 = stiffness if k2 is None else _as_real(k2, "k2", 0.0)
+        self.k = np.full(self.stories, stiffness)
         self.k[1] = self.k2
         self.a, self.b = lognormal_shift(self.load_cov)
         self._K = _shear_matrix(self.k)
@@ -109,9 +110,9 @@ class BucklingResponse(ResponseModel):
             params=(
                 ("load", self.load),
                 ("k2", self.k2),
-                ("stiffness", float(stiffness)),
+                ("stiffness", stiffness),
                 ("height", self.height),
-                ("load_cov", float(load_cov)),
+                ("load_cov", self.load_cov),
             ),
             sensitivity_params=("load", "k2"),
             rows_independent=True,
@@ -167,13 +168,12 @@ class SdofResponse(ResponseModel):
     response_unit = "m"
 
     def __init__(self, zeta=0.01, omega=2.0 * math.pi, psd=0.86, dt=0.05, duration=20.0):
-        self.zeta, self.omega = float(zeta), float(omega)
-        self.psd, self.dt = float(psd), float(dt)
-        self.n = round(duration / dt)
-        if abs(self.n * dt - duration) > 1e-9 * duration:
+        self.zeta, self.omega = _as_real(zeta, "zeta", 0.0, 1.0), _as_real(omega, "omega", 0.0)
+        self.psd, self.dt = _as_real(psd, "psd", 0.0), _as_real(dt, "dt", 0.0)
+        duration = _as_real(duration, "duration", 0.0)
+        self.n = round(duration / self.dt)
+        if abs(self.n * self.dt - duration) > 1e-9 * duration:
             raise ModelDomainError("duration must be an integer number of steps")
-        if not 0.0 < self.zeta < 1.0:
-            raise ModelDomainError("needs 0 < zeta < 1")
         self.scale = math.sqrt(2.0 * math.pi * self.psd / self.dt)
         self.spec = ModelSpec(
             name="sdof",
@@ -183,7 +183,7 @@ class SdofResponse(ResponseModel):
                 ("omega", self.omega),
                 ("psd", self.psd),
                 ("dt", self.dt),
-                ("duration", float(duration)),
+                ("duration", duration),
             ),
             sensitivity_params=("zeta", "omega"),
             input_order="F",  # the recursion reads one input column per step
@@ -290,14 +290,16 @@ class PileResponse(ResponseModel):
 
     def __init__(self, diameter=0.9, depth=8.0, mean_phi=0.5585, cov_phi=0.17,
                  corr_length=4.0, layer=0.1, column_depth=12.0):
-        self.B, self.D, self.mu = float(diameter), float(depth), float(mean_phi)
-        self.d = float(layer)
-        self.n = round(column_depth / layer)
+        self.B, self.D = _as_real(diameter, "diameter", 0.0), _as_real(depth, "depth", 0.0)
+        self.mu, self.d = _as_real(mean_phi, "mean_phi", 0.0), _as_real(layer, "layer", 0.0)
+        cov_phi = _as_real(cov_phi, "cov_phi", 0.0)
+        corr_length = _as_real(corr_length, "corr_length", 0.0)
+        self.n = round(_as_real(column_depth, "column_depth", 0.0) / self.d)
         self.z = (np.arange(self.n) + 0.5) * self.d
         self.n_side = int(self.D / self.d)
-        r = np.exp(-2.0 / float(corr_length) * np.abs(self.z[:, None] - self.z[None, :]))
+        r = np.exp(-2.0 / corr_length * np.abs(self.z[:, None] - self.z[None, :]))
         self.chol = numkit.cholesky_lower(r)
-        self.u_ln, self.s_ln = lognormal_shift(float(cov_phi))
+        self.u_ln, self.s_ln = lognormal_shift(cov_phi)
         self.spec = ModelSpec(
             name="pile",
             input_dim=self.n,
@@ -305,8 +307,8 @@ class PileResponse(ResponseModel):
                 ("B", self.B),
                 ("mu", self.mu),
                 ("depth", self.D),
-                ("cov_phi", float(cov_phi)),
-                ("corr_length", float(corr_length)),
+                ("cov_phi", cov_phi),
+                ("corr_length", corr_length),
             ),
             sensitivity_params=("B", "mu"),
             # the field's product rounds by the block's row count (its GEMM remainder rows)

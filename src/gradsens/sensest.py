@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigError, ModelSpec
+from .model import ConfigError, ModelSpec, _as_real
 from .subsim import BinPartition, CcdfCurve
 
 # Grid rows per kernel matrix.  Each chunk is reduced by one BLAS matmul, whose
@@ -62,10 +62,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.width_rule not in ("scott", "scott-global", "fixed"):
             raise ConfigError(f"width rule {self.width_rule!r}: not scott, scott-global or fixed")
-        tiny = sys.float_info.min  # below it, P_i / (N_i w) overflows and inf * 0 is NaN
-        if self.width_rule == "fixed" and not (self.width and tiny <= self.width < math.inf):
-            raise ConfigError(f"fixed width rule needs a finite positive width, at least {tiny}")
-        if self.width_rule != "fixed" and self.width is not None:
+        if self.width_rule == "fixed":  # from DBL_MIN: below it, P_i / (N_i w) overflows
+            below = math.nextafter(sys.float_info.min, 0.0)  # and inf * 0 is NaN
+            object.__setattr__(self, "width", _as_real(self.width, "width", below))
+        elif self.width is not None:
             raise ConfigError(f"the {self.width_rule} width rule takes no width")
 
     @classmethod

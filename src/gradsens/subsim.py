@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ResponseModel, _check_finite
-from .numkit import RngStream, _as_int, std_normal_ccdf_inv
+from .model import ConfigError, ResponseModel, _as_int, _as_real, _check_finite
+from .numkit import RngStream, std_normal_ccdf_inv
 
 _LEVEL0_STREAM = 1
 _CHAIN_STREAM_BASE = 2
@@ -57,8 +57,7 @@ class SsConfig:
     def __post_init__(self):
         for name, least in (("m", 1), ("n_per_level", 2), ("seed", 0)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
-        if not 0.0 < self.p0 < 1.0:
-            raise ConfigError("p0 must lie in (0, 1)")
+        object.__setattr__(self, "p0", _as_real(self.p0, "p0", 0.0, 1.0))
         nc = self.p0 * self.n_per_level
         if abs(nc - self.n_chains) > 1e-9 or self.n_chains < 1:
             raise ConfigError("p0 * n_per_level must be a positive integer")

@@ -136,7 +136,7 @@ class TestCmdRun:
         rc = main(["run", "--model", "normal", "--width", "fixed:inf",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "finite positive width" in capsys.readouterr().err
+        assert "width=inf: needs a finite real in" in capsys.readouterr().err
 
     def test_one_sample_bin_exit_2(self, tmp_path, capsys):
         # p0 N = 1 seed out of N = 2 leaves one sample in bin 0: no kernel width
@@ -184,8 +184,10 @@ class TestCmdRun:
         ["run", "--model", "normal", "--width", "fixed:1e-320"],
         ["run", "--model", "normal", "--m", "330", "--p0", "0.1"],
         ["repeat", "--model", "normal", "--runs", "2", "--seeds", "1,x"],
+        # not taken as absent, which would run seeds 0 and 1
+        ["repeat", "--model", "normal", "--runs", "2", "--seeds", ""],
     ], ids=["negative-seed", "fixed-width-not-a-number", "fixed-width-subnormal",
-            "level-probability-underflow", "seeds-not-integers"])
+            "level-probability-underflow", "seeds-not-integers", "seeds-empty"])
     def test_bad_argument_exit_2(self, tmp_path, capsys, argv):
         rc = main(argv + ["--n", "100", "--out", str(tmp_path / "out")])
         assert rc == 2

@@ -1,14 +1,20 @@
+import inspect
+import math
 import re
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
-from gradsens.benchmarks import crn_central_difference, run_benchmark
+from gradsens.benchmarks import (analytic_buckling, analytic_normal, crn_central_difference,
+                                 run_benchmark)
 from gradsens.cli import _select_params, repeat_runs
 from gradsens.model import (ConfigError, ModelDomainError, ModelSpec, ResponseModel,
                             _check_finite, central_steps, fd_gradient_batch)
 from gradsens.numkit import RngStream
-from gradsens.responses import MODEL_BUILDERS, BucklingResponse, NormalResponse, build_model
+from gradsens.responses import (MODEL_BUILDERS, BucklingResponse, NormalResponse, PileResponse,
+                                SdofResponse, build_model)
 from gradsens.sensest import KernelSpec, scott_width
 from gradsens.subsim import SsConfig, run_subset_simulation
 
@@ -98,7 +104,7 @@ def test_fd_rejects_bad_step():
 @pytest.mark.parametrize("rel_step", [0.0, -0.01, 1.0, 2.0, float("nan")])
 def test_central_steps_needs_step_inside_unit_interval(rel_step):
     # h >= 1 would put a (1 - h) at or past zero: a damping ratio of -zeta
-    with pytest.raises(ValueError, match="needs 0 < rel_step < 1"):
+    with pytest.raises(ConfigError, match=re.escape("needs a finite real in (0.0, 1.0)")):
         central_steps(0.01, rel_step)
 
 
@@ -183,11 +189,13 @@ COUNTS = {
     "benchmark-seed": (lambda v: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, v),
                        "seed", 0),
     "stories": (lambda v: BucklingResponse(stories=v), "stories", 2),
+    "analytic-stories": (lambda v: analytic_buckling([1.0], stories=v, lam0=1.0), "stories", 2),
+    "input-dim": (lambda v: ModelSpec("x", v, (("a", 1.0),), ("a",)), "input_dim", 1),
 }
 
 
 @pytest.mark.parametrize("entry", COUNTS)
-@pytest.mark.parametrize("bad", [2.5, 3.0, "3", "below"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, "below"])
 def test_counts_are_integers_checked_where_they_enter(entry, bad):
     call, name, least = COUNTS[entry]
     value = least - 1 if bad == "below" else bad
@@ -218,6 +226,80 @@ def test_numpy_integers_give_the_python_ints_bits():
     x = RngStream(6).standard_normal((50, 3))
     for a, b in zip(got.evaluate_batch(x), want.evaluate_batch(x)):
         assert np.array_equal(bits(a), bits(b))
+
+
+ANY, ABOVE_0, UNIT = (-math.inf, math.inf), (0.0, math.inf), (0.0, 1.0)
+# every parameter of a model or an analytic reference: (builder, fixed arguments, ranges)
+REAL_PARAMS = {
+    "normal": (NormalResponse, {}, {"loc": ANY, "scale": ABOVE_0, "mix": ANY}),
+    "buckling": (BucklingResponse, {}, dict.fromkeys(
+        ("stiffness", "height", "load", "load_cov", "k2"), ABOVE_0)),
+    "sdof": (SdofResponse, {}, {"zeta": UNIT, **dict.fromkeys(
+        ("omega", "psd", "dt", "duration"), ABOVE_0)}),
+    "pile": (PileResponse, {}, dict.fromkeys(
+        ("diameter", "depth", "mean_phi", "cov_phi", "corr_length", "layer", "column_depth"),
+        ABOVE_0)),
+    "analytic-normal": (partial(analytic_normal, [1.0]), {},
+                        {"loc": ANY, "scale": ABOVE_0, "mix": ANY}),
+    "analytic-buckling": (partial(analytic_buckling, [1.0]), {"lam0": 1.0}, dict.fromkeys(
+        ("load", "k2", "stiffness", "height", "load_cov", "lam0"), ABOVE_0)),
+}
+# every place a real enters: (call with the value, its name, its open range)
+REALS = {
+    "p0": (lambda v: SsConfig(p0=v), "p0", UNIT),
+    "central-steps": (lambda v: central_steps(1.0, v), "rel_step", UNIT),
+    "fd-step": (lambda v: fd_gradient_batch(NormalResponse(), np.zeros((1, 2)), v),
+                "rel_step", UNIT),
+    "crn-step": (lambda v: crn_central_difference(NormalResponse(), n_samples=11, rel_step=v),
+                 "rel_step", UNIT),
+    "benchmark-step": (lambda v: run_benchmark(NormalResponse(), ("loc",), 100, v, 0),
+                       "rel_step", UNIT),
+    # DBL_MIN is the least fixed width
+    "fixed-width": (lambda v: KernelSpec("fixed", v), "width",
+                    (math.nextafter(sys.float_info.min, 0.0), math.inf)),
+    **{f"{entry}-{name}": (lambda v, build=build, fixed=fixed, name=name:
+                           build(**{**fixed, name: v}), name, bounds)
+       for entry, (build, fixed, params) in REAL_PARAMS.items()
+       for name, bounds in params.items()},
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in REALS for bad in ("0.1", None, True, math.nan, math.inf, "outside")
+    if (entry, bad) != ("buckling-k2", None)])  # k2=None is buckling's k2 = stiffness
+def test_reals_are_finite_and_checked_where_they_enter(entry, bad):
+    call, name, (lo, hi) = REALS[entry]
+    value = lo if bad == "outside" else bad  # the open range's lower end, or -inf
+    with pytest.raises(ConfigError, match=re.escape(f"{name}={value!r}: needs a finite real in "
+                                                    f"({lo}, {hi})")):
+        call(value)
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.int64])
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_numpy_reals_give_the_python_floats_bits(name, kind):
+    defaults = {k: p.default for k, p in inspect.signature(MODEL_BUILDERS[name]).parameters.items()
+                if isinstance(p.default, float) and (kind is np.float64 or p.default.is_integer())}
+    got = build_model(name, **{k: kind(v) for k, v in defaults.items()})
+    want = build_model(name)
+    assert got.spec == want.spec
+    assert all(type(v) is float for _, v in got.spec.params)
+    x = RngStream(6).standard_normal((50, got.spec.input_dim))
+    for a, b in zip(got.evaluate_batch(x), want.evaluate_batch(x)):
+        assert np.array_equal(bits(a), bits(b))
+
+
+def test_numpy_level_probability_width_and_step_are_python_floats():
+    config = SsConfig(p0=np.float64(0.1))
+    assert config == SsConfig(p0=0.1) and type(config.p0) is float
+    for width in (np.float64(0.05), np.int64(2), sys.float_info.min):
+        kernel = KernelSpec("fixed", width)
+        assert kernel.width == width and type(kernel.width) is float
+    steps = central_steps(2.0, np.float64(0.01))
+    assert steps == central_steps(2.0, 0.01) and all(type(v) is float for v in steps)
+    # float32 0.1 is 0.10000000149..., and p0 * N is then not an integer
+    with pytest.raises(ConfigError, match=re.escape("p0 * n_per_level must be a positive integer")):
+        SsConfig(p0=np.float32(0.1))
 
 
 class SpyNormal(NormalResponse):
