@@ -1,5 +1,9 @@
 """Built-in response models: affine-normal, shear-building buckling, SDOF first
 passage, and pile serviceability.  All take i.i.d. N(0,1) inputs.
+
+Only ``SdofResponse`` needs ``scipy.linalg`` (its ``expm``), so it imports it
+when an sdof model is built: a process that builds only the other models never
+loads it.
 """
 
 from __future__ import annotations
@@ -7,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
 from .model import ConfigError, ModelDomainError, ModelSpec, ResponseModel, _as_int, _as_real
 from . import numkit
@@ -168,12 +171,16 @@ class SdofResponse(ResponseModel):
     response_unit = "m"
 
     def __init__(self, zeta=0.01, omega=2.0 * math.pi, psd=0.86, dt=0.05, duration=20.0):
+        from scipy.linalg import expm  # here, not in _matrices: paid where models are built
+
+        self._expm = expm
         self.zeta, self.omega = _as_real(zeta, "zeta", 0.0, 1.0), _as_real(omega, "omega", 0.0)
         self.psd, self.dt = _as_real(psd, "psd", 0.0), _as_real(dt, "dt", 0.0)
         duration = _as_real(duration, "duration", 0.0)
         self.n = round(duration / self.dt)
-        if abs(self.n * self.dt - duration) > 1e-9 * duration:
-            raise ModelDomainError("duration must be an integer number of steps")
+        # one output instant would be the rest state alone: y = 0 for every input
+        if self.n < 2 or abs(self.n * self.dt - duration) > 1e-9 * duration:
+            raise ModelDomainError("duration must be a whole number of at least 2 steps")
         self.scale = math.sqrt(2.0 * math.pi * self.psd / self.dt)
         self.spec = ModelSpec(
             name="sdof",
@@ -206,7 +213,7 @@ class SdofResponse(ResponseModel):
         aug[5, 0], aug[5, 1], aug[5, 4], aug[5, 5] = -2.0 * w, -2.0 * z, -w * w, -2.0 * z * w
         m = 6 if full else 2
         keep = [*range(m), 6]  # the m states, then the input
-        e = sla.expm(aug[np.ix_(keep, keep)] * self.dt)
+        e = self._expm(aug[np.ix_(keep, keep)] * self.dt)
         return e[:m, :m], e[:m, m]
 
     def _states(self, x, overrides=({},), full=False):
@@ -295,6 +302,7 @@ class PileResponse(ResponseModel):
         cov_phi = _as_real(cov_phi, "cov_phi", 0.0)
         corr_length = _as_real(corr_length, "corr_length", 0.0)
         self.n = round(_as_real(column_depth, "column_depth", 0.0) / self.d)
+        self._tip_zone(self.B)
         self.z = (np.arange(self.n) + 0.5) * self.d
         self.n_side = int(self.D / self.d)
         r = np.exp(-2.0 / corr_length * np.abs(self.z[:, None] - self.z[None, :]))
@@ -318,6 +326,15 @@ class PileResponse(ResponseModel):
     def param_unit(self, name):
         return {"B": "m", "mu": "rad"}.get(name, "-")
 
+    def _tip_zone(self, B):
+        """Top and bottom of the tip influence zone for diameter B.  It must end in
+        the soil column, or the side friction and zone average would be cut short."""
+        hi = self.D + 3.5 * B
+        if not hi <= self.n * self.d:
+            raise ModelDomainError(
+                f"tip influence zone ends at {hi:g} m, below the {self.n * self.d:g} m soil column")
+        return self.D - min(8.0 * B, self.D), hi
+
     def _unit_field(self, x):
         """The friction-angle field of a (batch, n) input block at unit mean."""
         # BLAS picks its kernel for a few rows by layout, and the kernels round
@@ -340,8 +357,7 @@ class PileResponse(ResponseModel):
             np.tan(phi[:, : self.n_side]) * sigma_eff
         ).sum(axis=1)
 
-        lo = self.D - min(8.0 * B, self.D)
-        hi = self.D + 3.5 * B
+        lo, hi = self._tip_zone(B)
         overlap = np.clip(np.minimum(hi, self.z + 0.5 * self.d)
                           - np.maximum(lo, self.z - 0.5 * self.d), 0.0, None)
         total = overlap.sum()

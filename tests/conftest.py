@@ -1,4 +1,5 @@
-"""Shared helper for the tests that start the command-line program as a child process."""
+"""Shared helpers for the tests that start the command-line program or a fresh
+interpreter as a child process."""
 
 import os
 import subprocess
@@ -18,20 +19,20 @@ PACKAGE_ROOT = str(Path(gradsens.__file__).resolve().parent.parent)
 CLI_TIMEOUT_S = 300
 
 
-def _run_cli(args, cwd, env=None):
+def _run_python(args, cwd, env=None):
     full = dict(os.environ)
     if env:
         full.update(env)
     inherited = full.get("PYTHONPATH")
     full["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
     try:
-        return subprocess.run([sys.executable, "-m", "gradsens", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, cwd=cwd, env=full,
                               timeout=CLI_TIMEOUT_S)
     except subprocess.TimeoutExpired as exc:
         # TimeoutExpired holds the output captured so far as bytes, even with text=True.
         stderr = (exc.stderr or b"").decode(errors="replace")
-        pytest.fail(f"gradsens {' '.join(args)} did not finish in {CLI_TIMEOUT_S} s; "
+        pytest.fail(f"python {' '.join(args)} did not finish in {CLI_TIMEOUT_S} s; "
                     f"stderr:\n{stderr}")
 
 
@@ -43,4 +44,11 @@ def run_cli():
     ``args`` resolve against ``cwd``.  Returns the ``CompletedProcess`` with text
     stdout and stderr.
     """
-    return _run_cli
+    return lambda args, cwd, env=None: _run_python(["-m", "gradsens", *args], cwd, env)
+
+
+@pytest.fixture
+def run_python():
+    """``run_python(args, cwd, env=None)`` runs a fresh ``python *args`` in ``cwd``,
+    as ``run_cli`` does: the child imports nothing the test process has loaded."""
+    return _run_python

@@ -143,6 +143,13 @@ class TestSdofResponse:
         scale = np.max(np.abs(u))
         assert np.allclose(u, simulate(m, x1) + simulate(m, x2), atol=1e-12 * scale)
 
+    def test_needs_two_output_instants(self):
+        # one instant is u(0) = 0 at rest: no step runs and y = 0 for every input
+        with pytest.raises(ModelDomainError, match="a whole number of at least 2 steps"):
+            SdofResponse(dt=20.0)
+        m = SdofResponse(dt=10.0)
+        assert m.n == 2 and m.response_batch(np.ones((1, 2)))[0] > 0.0
+
     def test_last_input_has_no_effect(self):
         # y runs over u(j dt), j < n, so the final white-noise ordinate is idle
         m = SdofResponse()
@@ -390,6 +397,28 @@ class TestPileResponse:
         hi = m.D + 3.5 * m.B
         assert lo >= 0.0 and hi <= m.z[-1] + m.d / 2
 
+    @pytest.mark.parametrize("kw", [{"depth": 12.5}, {"depth": 9.0}, {"diameter": 1.2}])
+    def test_tip_zone_below_column_is_refused(self, kw):
+        # the side friction would stop at the column's last layer, the zone
+        # average would cover only the soil that exists
+        with pytest.raises(ModelDomainError, match="below the 12 m soil column"):
+            PileResponse(**kw)
+
+    def test_tip_zone_reaching_the_column_bottom_builds(self):
+        x = RngStream(94).standard_normal((3, 120))
+        for m in (PileResponse(), PileResponse(depth=8.5, diameter=1.0)):  # 8.5 + 3.5 = 12 m
+            assert np.all(np.isfinite(m.response_batch(x)))
+        # the 0.1% central-difference steps of B stay inside at the defaults
+        assert np.all(np.isfinite(fd_gradient_batch(PileResponse(), x, 1e-3)))
+
+    def test_diameter_override_below_column_is_refused(self):
+        m = PileResponse()
+        x = RngStream(95).standard_normal((3, 120))
+        with pytest.raises(ModelDomainError, match="tip influence zone ends at 12.2 m"):
+            m.response_batch(x, B=1.2)
+        with pytest.raises(ModelDomainError, match="tip influence zone ends at 12.2 m"):
+            m.response_sets(x, ({}, {"B": 1.2}))
+
 
 @pytest.mark.parametrize("name", ["normal", "buckling", "sdof", "pile"])
 def test_evaluate_bit_deterministic(name):
@@ -406,3 +435,21 @@ def test_build_model_registry():
         assert isinstance(build_model(name), cls)
     with pytest.raises(ValueError):
         build_model("nope")
+
+
+# Run in a fresh interpreter: the test process has loaded scipy.linalg already.
+SCIPY_LINALG_PROBE = """\
+import sys
+import gradsens, gradsens.cli
+for name in ("normal", "buckling", "pile"):
+    gradsens.build_model(name)
+print("scipy.linalg" in sys.modules)
+gradsens.build_model("sdof")
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_linalg_loads_only_with_an_sdof_model(run_python, tmp_path):
+    out = run_python(["-c", SCIPY_LINALG_PROBE], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
