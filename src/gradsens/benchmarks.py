@@ -89,6 +89,16 @@ def analytic_buckling(y_grid, load=100.0, k2=250.0, *, stiffness=250.0, height=3
                            provenance="analytic")
 
 
+def _crn_arguments(model, params, n_samples, rel_step, seed, grid_points):
+    """The CRN's argument rules, which ``crn_central_difference`` starts with and
+    ``run_benchmark`` applies to every model: ``params`` by ``ModelSpec.select`` with
+    their ``central_steps``, ``n_samples`` >= 11, ``seed`` and ``grid_points`` >= 2."""
+    params = model.spec.select(params)
+    return (params, [central_steps(model.spec.value(name), rel_step) for name in params],
+            _as_int(n_samples, "n_samples", 11), _as_int(seed, "seed"),
+            _as_int(grid_points, "grid_points", 2))
+
+
 def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
                            rel_step=0.01, seed=0, grid_points=256) -> BenchmarkResult:
     """Central differences of direct-MC exceedance estimates on common inputs.
@@ -97,12 +107,11 @@ def crn_central_difference(model: ResponseModel, params=None, n_samples=10**6,
     difference variance scales with the step instead of its square.  CCDFs are
     empirical step functions (exceedance counts), no smoothing.  The grid is
     placed at ``grid_points`` log-spaced exceedance quantiles of the base run,
-    from 0.999 down to 10 / n_samples, so it needs at least 11 samples.
+    from 0.999 down to 10 / n_samples, so it needs at least 11 samples.  The
+    ``params`` columns follow the model's declaration order.
     """
-    n_samples = _as_int(n_samples, "n_samples", 11)
-    grid_points = _as_int(grid_points, "grid_points", 1)
-    params = tuple(params or model.spec.sensitivity_params)
-    steps = [central_steps(model.spec.value(name), rel_step) for name in params]
+    params, steps, n_samples, seed, grid_points = _crn_arguments(
+        model, params, n_samples, rel_step, seed, grid_points)
     n_dim = model.spec.input_dim
 
     # one pass over the input blocks, with one model call per block for the base
@@ -168,12 +177,9 @@ def _analytic_reference(model, grid_points):
 def run_benchmark(model: ResponseModel, params, n_samples, rel_step, seed,
                   grid_points=256) -> BenchmarkResult:
     """Analytic references when the model has them, CRN differences otherwise;
-    either way, the CRN's sample count, step and seed rules apply."""
-    _as_int(grid_points, "grid_points", 2)
-    _as_int(n_samples, "n_samples", 11)
-    central_steps(1.0, rel_step)
-    _as_int(seed, "seed")
+    either way, the CRN's argument rules apply."""
     if model.spec.name in ("normal", "buckling"):
+        _crn_arguments(model, params, n_samples, rel_step, seed, grid_points)
         return _analytic_reference(model, grid_points)
     return crn_central_difference(model, params=params, n_samples=n_samples,
                                   rel_step=rel_step, seed=seed, grid_points=grid_points)

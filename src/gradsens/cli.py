@@ -350,15 +350,6 @@ def _build_parser():
     return p
 
 
-def _select_params(model, requested):
-    if not requested:
-        return tuple(model.spec.sensitivity_params)
-    bad = set(requested) - set(model.spec.sensitivity_params)
-    if bad:
-        raise ConfigError(f"unknown sensitivity parameters for {model.spec.name}: {sorted(bad)}")
-    return tuple(p for p in model.spec.sensitivity_params if p in set(requested))
-
-
 def _ss_inputs(args):
     """The run configuration and kernel that ``run`` and ``repeat`` share."""
     return (SsConfig(m=args.m, p0=args.p0, n_per_level=args.n, seed=args.seed),
@@ -400,7 +391,10 @@ def cmd_benchmark(args, model, params) -> int:
 
 
 def _check_out(out: str):
-    """``--out`` must be a directory, or its nearest existing ancestor must be one."""
+    """``--out`` must be a directory, or its nearest existing ancestor must be one;
+    an empty path, as from an unset variable, is refused, not taken as "."."""
+    if not out:
+        raise ConfigError("--out '': needs a directory path")
     path = Path(out).absolute()
     existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
@@ -413,7 +407,7 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         model = build_model(args.model)
-        return handler(args, model, _select_params(model, args.param))
+        return handler(args, model, model.spec.select(args.param))
     except (ModelDomainError, NumericalError, DegenerateResponseError) as exc:
         print(f"gradsens: model error: {exc}", file=sys.stderr)
         return 3

@@ -85,6 +85,15 @@ class ModelSpec:
                 return v
         raise ConfigError(f"model {self.name!r} has no parameter {name!r}")
 
+    def select(self, names=None) -> tuple:
+        """The named sensitivity parameters in declaration order, each once; all of
+        them for ``None`` or an empty selection.  The one rule for choosing them."""
+        chosen = set(names or self.sensitivity_params)
+        bad = chosen - set(self.sensitivity_params)
+        if bad:
+            raise ConfigError(f"unknown sensitivity parameters for {self.name}: {sorted(bad)}")
+        return tuple(p for p in self.sensitivity_params if p in chosen)
+
 
 class ResponseModel:
     """Base class for response models.

@@ -338,8 +338,12 @@ class PileResponse(ResponseModel):
     def _unit_field(self, x):
         """The friction-angle field of a (batch, n) input block at unit mean."""
         # BLAS picks its kernel for a few rows by layout, and the kernels round
-        # differently, so a Fortran-order block is read as a C-order copy
-        return np.exp(self.u_ln + self.s_ln * (np.ascontiguousarray(x) @ self.chol.T))
+        # differently, so a Fortran-order block is read as a C-order copy; the field
+        # is built in the product's array, bit for bit exp(u_ln + s_ln * product)
+        f = np.ascontiguousarray(x) @ self.chol.T
+        f *= self.s_ln
+        f += self.u_ln
+        return np.exp(f, out=f)
 
     def response_batch(self, x, B=None, mu=None):
         return self._response(self._unit_field(x), B, mu)
@@ -353,9 +357,9 @@ class PileResponse(ResponseModel):
         phi = (self.mu if mu is None else mu) * unit
         gw = self.gamma - self.gamma_w
         sigma_eff = gw * self.z[: self.n_side]
-        q_side = math.pi * B * self.d * self.k_ratio * (
-            np.tan(phi[:, : self.n_side]) * sigma_eff
-        ).sum(axis=1)
+        side = np.tan(phi[:, : self.n_side])
+        side *= sigma_eff  # in place: one (batch, n_side) array per override, not two
+        q_side = math.pi * B * self.d * self.k_ratio * side.sum(axis=1)
 
         lo, hi = self._tip_zone(B)
         overlap = np.clip(np.minimum(hi, self.z + 0.5 * self.d)

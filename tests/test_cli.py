@@ -207,6 +207,14 @@ class TestCmdRun:
         assert (tmp_path / "file").read_text() == "keep\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_empty_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an unset variable, as in --out "$DIR": not the current directory
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--model", "normal", "--n", "100", "--out", ""])
+        assert rc == 2
+        assert "configuration error: --out ''" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_fixed_width_flag(self, tmp_path):
         rc = main(["run", "--model", "normal", "--width", "fixed:0.2",
                    "--out", str(tmp_path / "out")])

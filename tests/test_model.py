@@ -9,7 +9,7 @@ import pytest
 
 from gradsens.benchmarks import (analytic_buckling, analytic_normal, crn_central_difference,
                                  run_benchmark)
-from gradsens.cli import _select_params, repeat_runs
+from gradsens.cli import repeat_runs
 from gradsens.model import (ConfigError, ModelDomainError, ModelSpec, ResponseModel,
                             _check_finite, central_steps, fd_gradient_batch)
 from gradsens.numkit import RngStream
@@ -139,7 +139,7 @@ def test_sample_record_rejects_nonfinite():
     lambda: crn_central_difference(NormalResponse(), n_samples=0),
     lambda: run_benchmark(NormalResponse(), ("loc",), 100, 0.01, 0, grid_points=1),
     lambda: repeat_runs(NormalResponse(), SsConfig(), KernelSpec(), [1]),
-    lambda: _select_params(NormalResponse(), ["bogus"]),
+    lambda: NormalResponse().spec.select(["bogus"]),
     lambda: build_model("nope"),
     lambda: NormalResponse().spec.value("bogus"),
     lambda: crn_central_difference(NormalResponse(), params=("bogus",), n_samples=11),
@@ -179,7 +179,7 @@ COUNTS = {
     "crn-samples": (lambda v: crn_central_difference(NormalResponse(), n_samples=v),
                     "n_samples", 11),
     "crn-grid": (lambda v: crn_central_difference(NormalResponse(), n_samples=11, grid_points=v),
-                 "grid_points", 1),
+                 "grid_points", 2),
     "crn-seed": (lambda v: crn_central_difference(NormalResponse(), n_samples=11, seed=v),
                  "seed", 0),
     "benchmark-samples": (lambda v: run_benchmark(NormalResponse(), ("loc",), v, 0.01, 0),
@@ -364,6 +364,40 @@ def test_model_spec_validation():
                   sensitivity_params=("a",), rows_independent=1)
     assert not ModelSpec(name="plain", input_dim=1, params=(("a", 1.0),),
                          sensitivity_params=("a",)).rows_independent
+
+
+@pytest.mark.parametrize("names, chosen", [
+    (None, ("loc", "scale", "mix")),
+    ((), ("loc", "scale", "mix")),
+    (["mix", "loc"], ("loc", "mix")),
+    (("scale", "loc", "scale", "scale"), ("loc", "scale")),
+], ids=["none", "empty", "declaration-order", "duplicates"])
+def test_spec_select_takes_declaration_order_each_once(names, chosen):
+    assert NormalResponse().spec.select(names) == chosen
+
+
+# both references refuse an unknown name, and also a declared parameter that takes
+# no sensitivity (buckling's stiffness, sdof's psd, pile's depth)
+@pytest.mark.parametrize("name, param", [("normal", "bogus"), ("buckling", "stiffness"),
+                                         ("sdof", "psd"), ("pile", "depth")])
+@pytest.mark.parametrize("reference", [
+    lambda model, params: crn_central_difference(model, params, n_samples=100),
+    lambda model, params: run_benchmark(model, params, 100, 0.01, 0),
+], ids=["crn", "run-benchmark"])
+def test_references_choose_parameters_by_the_spec_rule(reference, name, param):
+    message = f"unknown sensitivity parameters for {name}: ['{param}']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        reference(build_model(name), (param,))
+
+
+def test_crn_columns_follow_declaration_order():
+    # each column is computed on its own: the bits of a one-parameter reference
+    both = crn_central_difference(NormalResponse(), ("scale", "loc"), n_samples=500, seed=3)
+    assert both.params == ("loc", "scale")
+    for j, p in enumerate(both.params):
+        one = crn_central_difference(NormalResponse(), (p,), n_samples=500, seed=3)
+        assert np.array_equal(bits(both.df[:, j]), bits(one.df[:, 0]))
+        assert np.array_equal(bits(both.y), bits(one.y))
 
 
 def bits(a):

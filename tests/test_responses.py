@@ -348,6 +348,12 @@ class TestPileResponse:
         phi = pile_field(m, np.zeros((1, 120)))
         assert np.allclose(phi, m.mu * math.exp(m.u_ln), rtol=1e-14)
 
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_field_built_in_place_has_the_expression_bits(self, rows):
+        m = PileResponse()
+        x = RngStream(96).standard_normal((rows, 120))
+        assert same_bits(m._unit_field(x), np.exp(m.u_ln + m.s_ln * (x @ m.chol.T)))
+
     def test_field_correlation_reproduced(self):
         m = PileResponse()
         x = RngStream(91).standard_normal((10**5, 120))
